@@ -70,7 +70,6 @@ from .solvers import (
     init_state,
     proxpoint_step,
     risfbf_step,
-    risfbf_step_fixedpoint_form,
     run,
     sa_step,
     seg_step,

@@ -2,7 +2,8 @@
 
 Subcommands:
   run <config>         execute one experiment (replications + CSV export)
-  compare <cfg...>     run several configs on a shared problem, print a table
+  compare <cfg...>     run several configs on a shared problem, print a table;
+                       --out-dir D writes each config to D/<label>
   bounds <config>      print closed-form rate/complexity envelopes
   variance <config>    mini-batch variance sweep of the configured oracle
 
@@ -13,6 +14,7 @@ replication, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -91,6 +93,9 @@ def _print_report(report) -> None:
             line += f" ci=[{_fmt(lo)}, {_fmt(hi)}]"
         print(line)
     print(f"  outputs: {report.out_dir}/summary.csv")
+    for rep, reason in report.errors.items():
+        print(f"{report.label}: replication {rep} failed: {reason}",
+              file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -105,6 +110,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfgs = [load_config(path, _overrides(args)) for path in args.configs]
+    if args.out_dir is not None:
+        for cfg in cfgs:
+            cfg.out_dir = os.path.join(args.out_dir, cfg.label)
     table = compare(cfgs)
     header = f"{'label':<20} {'method':<9} " + " ".join(
         f"{m:>12}" for m in _METRICS) + f" {'wall_s':>8} {'failed':>6}"
@@ -113,6 +121,9 @@ def _cmd_compare(args) -> int:
         cells = " ".join(f"{_fmt(row[m]):>12}" for m in _METRICS)
         print(f"{row['label']:<20} {row['method']:<9} {cells} "
               f"{row['wall_seconds']:>8.2f} {row['failed']:>6}")
+        for rep, reason in row["errors"].items():
+            print(f"{row['label']}: replication {rep} failed: {reason}",
+                  file=sys.stderr)
     if all(row["failed"] >= row["replications"] for row in table):
         return 2
     return 0

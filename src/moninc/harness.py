@@ -278,6 +278,7 @@ class RunReport:
     wall_seconds: float = 0.0
     out_dir: str = ""
     results: list = field(default_factory=list)
+    errors: dict = field(default_factory=dict)  # rep -> "ExcType: message"
 
 
 def _fmt(v) -> str:
@@ -330,7 +331,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         try:
             result = run(problem, method, scfg, rng=rng)
         except (NumericFailure, FloatingPointError) as exc:
-            return rep, None, str(exc)
+            return rep, None, f"{type(exc).__name__}: {exc}"
         _write_trajectory(
             os.path.join(config.out_dir, f"rep_{rep}.csv"),
             result.trajectory)
@@ -343,19 +344,19 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         outcomes = [one_rep(r) for r in range(config.replications)]
     outcomes.sort(key=lambda t: t[0])
 
-    rows, results, failures = [], [], 0
+    rows, results, errors = [], [], {}
     for rep, result, err in outcomes:
         if result is None:
-            failures += 1
+            errors[rep] = err
             continue
         rows.append(_final_row(rep, result))
         results.append(result)
 
     report = RunReport(
         label=config.label, method=method,
-        replications=config.replications, failures=failures,
+        replications=config.replications, failures=len(errors),
         wall_seconds=time.perf_counter() - t_start,
-        out_dir=config.out_dir, results=results)
+        out_dir=config.out_dir, results=results, errors=errors)
 
     for name in _FINAL_METRICS:
         vals = np.array([r[name] for r in rows], dtype=np.float64)
@@ -418,22 +419,30 @@ def compare(configs: list[ExperimentConfig]):
 
     All configs must describe the identical problem section (same kind,
     parameters, and instance seed) so differences are attributable to the
-    solvers alone.
+    solvers alone, and each must write to its own out_dir.
     """
     if not configs:
         raise ValueError("compare needs at least one config")
     ref = configs[0].problem
-    for cfg in configs[1:]:
+    owners = {}
+    for cfg in configs:
         if cfg.problem != ref:
             raise ValueError(
                 "compare requires identical [problem] sections; "
                 f"{cfg.label!r} differs from {configs[0].label!r}")
+        out = os.path.realpath(cfg.out_dir)
+        if out in owners:
+            raise ConfigError(
+                f"{owners[out]!r} and {cfg.label!r} both write to "
+                f"{cfg.out_dir!r}; give each config its own out_dir")
+        owners[out] = cfg.label
     table = []
     for cfg in configs:
         report = run_experiment(cfg)
         row = {"label": cfg.label, "method": report.method,
                "replications": report.replications,
                "failed": report.failures,
+               "errors": report.errors,
                "wall_seconds": report.wall_seconds}
         for m in _FINAL_METRICS:
             row[m] = report.means.get(m)

@@ -5,22 +5,22 @@ relaxation rho_k evolve:
 
     asymptotic        small steps lam < 1/(4L), relaxation from the
                       almost-sure convergence rule
-    constant          the asymptotic rule with constant inertia
     larger_step       steps up to (1-nu)/(2L) with the matching relaxation cap
     strongly_monotone steps capped by lambda_strong, relaxation from the
                       linear-rate rule (uses L_tilde = sqrt(L^2 + 1/2))
     monotone_gap      merely monotone case, lam < 1/(2L), relaxation from the
                       averaged-gap rule
     custom            user-supplied constants; validate() still reports any
-                      violated regime hypotheses as warnings
+                      violated hypotheses of the closest regime as warnings
 
-Formulas are evaluated exactly as stated; validation never silently alters
-a user's numbers.
+One table holds each regime's hypotheses, which schedule_at() enforces and
+validate() reports; validation never silently alters a user's numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,6 @@ __all__ = [
     "schedule_at",
     "validate",
 ]
-
-_REGIMES = ("asymptotic", "constant", "larger_step", "strongly_monotone",
-            "monotone_gap", "custom")
 
 
 class PolicyViolation(ValueError):
@@ -107,11 +104,7 @@ def rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar) -> float:
         raise ValueError("eps_bar must lie in (0,1)")
     if not (0.0 <= alpha_k <= alpha_bar < 1.0):
         raise ValueError("need 0 <= alpha_k <= alpha_bar < 1")
-    if L > 0 and not (0.0 < lam_k < 1.0 / (4.0 * L)):
-        raise PolicyViolation(
-            f"lam={lam_k:g} outside (0, 1/(4L)) = (0, {1.0 / (4.0 * L):g})")
-    if L == 0 and lam_k <= 0:
-        raise PolicyViolation("lam must be positive")
+    _require((_LAM_POSITIVE, _ASYMPTOTIC_WINDOW), None, lam_k, L, None)
     num = 5.0 * (1.0 - eps_bar) * (1.0 - alpha_bar) ** 2
     den = 4.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam_k)
     return num / den
@@ -147,11 +140,7 @@ def rho_monotone(alpha_k, lam, L, alpha_bar) -> float:
     """
     if not (0.0 <= alpha_k <= alpha_bar < 1.0):
         raise ValueError("need 0 <= alpha_k <= alpha_bar < 1")
-    if L > 0 and not (0.0 < lam < 1.0 / (2.0 * L)):
-        raise PolicyViolation(
-            f"lam={lam:g} outside (0, 1/(2L)) = (0, {1.0 / (2.0 * L):g})")
-    if L == 0 and lam <= 0:
-        raise PolicyViolation("lam must be positive")
+    _require((_LAM_POSITIVE, _MONOTONE_GAP_WINDOW), None, lam, L, None)
     num = 3.0 * (1.0 - alpha_bar) ** 2
     den = 2.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam)
     return num / den
@@ -180,97 +169,114 @@ def _rho_larger_step(alpha_k, lam, L, nu, eps_bar) -> float:
     return (1.0 - eps_bar) * cap
 
 
+# A hypothesis is (holds, message, fatal), holds and message taking
+# (policy, lam, L, mu); an advisory one (not fatal) is left to validate().
+
+def _unit(name):
+    return (lambda p, *_: 0.0 < getattr(p, name) < 1.0,
+            lambda p, *_: f"{name} = {getattr(p, name):g} outside (0,1)", True)
+
+
+def _window(label, cap):
+    """lam < cap(policy, L) when L > 0; positivity is checked on its own."""
+    return (lambda p, lam, L, mu: L <= 0 or lam < cap(p, L),
+            lambda p, lam, L, mu: (f"lam = {lam:g} not in (0, {label}) = "
+                                   f"(0, {cap(p, L):g})"), True)
+
+
+def _strong_cap(p, L, mu):
+    """lambda_strong, or inf while a, b or mu break their own hypotheses."""
+    if mu is None or mu <= 0 or not (0.0 < p.a < 1.0 and 0.0 < p.b < 1.0):
+        return np.inf
+    return lambda_strong(mu, L, p.a, p.b)
+
+
+_LAM_POSITIVE = (lambda p, lam, *_: lam > 0,
+                 lambda p, lam, *_: f"lam = {lam:g} is not positive", True)
+_ASYMPTOTIC_WINDOW = _window("1/(4L)", lambda p, L: 1.0 / (4.0 * L))
+_MONOTONE_GAP_WINDOW = _window("1/(2L)", lambda p, L: 1.0 / (2.0 * L))
+# The constructor keeps alpha in [0, 1); custom policies may drop inertia.
+_COMMON = (_LAM_POSITIVE,
+           (lambda p, *_: p.alpha > 0.0 or p.regime == "custom",
+            lambda p, *_: f"alpha = {p.alpha:g} outside (0,1)", False))
+
+
+class _Regime(NamedTuple):
+    hypotheses: tuple  # checked after _COMMON, in order
+    rho: Callable      # (policy, k, alpha_k, lam_k, L) -> rho_k
+    default_lam: Callable | None = None  # (policy, L, mu), for lam = None
+
+
+_REGIMES = {
+    "asymptotic": _Regime(
+        (_unit("eps_bar"), _ASYMPTOTIC_WINDOW),
+        lambda p, k, ak, lk, L: rho_asymptotic(ak, lk, L, p.eps_bar,
+                                               p.alpha_bar)),
+    "larger_step": _Regime(
+        ((lambda p, *_: p.alpha_mode == "constant",
+          lambda *_: "larger_step regime assumes constant inertia", False),
+         _unit("nu"),
+         _window("(1-nu)/(2L)", lambda p, L: (1.0 - p.nu) / (2.0 * L))),
+        lambda p, k, ak, lk, L: _rho_larger_step(ak, lk, L, p.nu, p.eps_bar)),
+    "strongly_monotone": _Regime(
+        (_unit("a"), _unit("b"),
+         (lambda p, lam, L, mu: mu is not None and mu > 0,
+          lambda *_: "strongly_monotone regime without a positive mu", True),
+         # advisory: non-strict runs may step above the cap after a warning
+         (lambda p, lam, L, mu: lam <= _strong_cap(p, L, mu),
+          lambda p, lam, L, mu: (f"lam = {lam:g} exceeds lambda_strong = "
+                                 f"{_strong_cap(p, L, mu):g}"), False)),
+        lambda p, k, ak, lk, L: rho_strong(ak, lk, float(np.sqrt(L * L + 0.5)),
+                                           p.a),
+        default_lam=_strong_cap),
+    "monotone_gap": _Regime(
+        (_MONOTONE_GAP_WINDOW,),
+        lambda p, k, ak, lk, L: rho_monotone(ak, lk, L, p.alpha_bar)),
+    "custom": _Regime(
+        ((lambda p, *_: p.rho is not None,
+          lambda *_: "custom regime without an explicit rho", True),),
+        lambda p, k, ak, lk, L: (float(p.rho(k)) if callable(p.rho)
+                                 else float(p.rho))),
+}
+
+
+def _require(hypotheses, policy, lam, L, mu):
+    for holds, message, fatal in hypotheses:
+        if fatal and not holds(policy, lam, L, mu):
+            raise PolicyViolation(message(policy, lam, L, mu))
+
+
+def _lam_k(policy: RegimePolicy, k: int, L: float, mu):
+    default = _REGIMES[policy.regime].default_lam
+    if policy.lam is None and default is not None:
+        return default(policy, L, mu)
+    return lam_at(policy, k)
+
+
 def schedule_at(policy: RegimePolicy, k: int, L: float, mu: float | None = None):
-    """(alpha_k, lam_k, rho_k) at iteration k under the policy's regime."""
+    """(alpha_k, lam_k, rho_k) at iteration k under the policy's regime;
+    PolicyViolation on the first violated fatal hypothesis at lam_k."""
+    regime = _REGIMES[policy.regime]
+    lk = _lam_k(policy, k, L, mu)
+    _require(_COMMON + regime.hypotheses, policy, lk, L, mu)
     ak = alpha_at(policy, k)
-    regime = policy.regime
-    if regime in ("asymptotic", "constant"):
-        lk = lam_at(policy, k)
-        return ak, lk, rho_asymptotic(ak, lk, L, policy.eps_bar, policy.alpha_bar)
-    if regime == "larger_step":
-        if not (0.0 < policy.nu < 1.0):
-            raise ValueError("nu must lie in (0,1)")
-        lk = lam_at(policy, k)
-        if L > 0 and not (0.0 < lk < (1.0 - policy.nu) / (2.0 * L)):
-            raise PolicyViolation(
-                f"lam={lk:g} outside (0, (1-nu)/(2L)) for nu={policy.nu:g}")
-        return ak, lk, _rho_larger_step(ak, lk, L, policy.nu, policy.eps_bar)
-    if regime == "strongly_monotone":
-        if policy.lam is not None:
-            lk = lam_at(policy, k)
-        else:
-            if mu is None or mu <= 0:
-                raise ValueError("strongly_monotone regime needs mu > 0")
-            lk = lambda_strong(mu, L, policy.a, policy.b)
-        lt = float(np.sqrt(L * L + 0.5))
-        return ak, lk, rho_strong(ak, lk, lt, policy.a)
-    if regime == "monotone_gap":
-        lk = lam_at(policy, k)
-        return ak, lk, rho_monotone(ak, lk, L, policy.alpha_bar)
-    # custom
-    lk = lam_at(policy, k)
-    if policy.rho is None:
-        raise ValueError("custom regime needs an explicit rho")
-    rk = float(policy.rho(k)) if callable(policy.rho) else float(policy.rho)
-    return ak, lk, rk
+    return ak, lk, regime.rho(policy, k, ak, lk, L)
 
 
 def validate(policy: RegimePolicy, L: float, mu: float | None = None):
-    """Human-readable diagnostics; empty list means the regime hypotheses hold.
-
-    Never raises: custom configurations are allowed to break the sufficient
-    conditions, the caller decides whether that is fatal.
-    """
-    out = []
+    """Every violated hypothesis at lam_1, as text; custom policies are also
+    held to their closest regime. Never raises: the caller decides whether
+    a violation is fatal."""
     try:
-        lam1 = lam_at(policy, 1)
-    except ValueError:
-        if (policy.regime == "strongly_monotone" and mu is not None
-                and mu > 0 and 0.0 < policy.a < 1.0
-                and 0.0 < policy.b < 1.0):
-            # lam defaults to lambda_strong here, which satisfies its own cap
-            lam1 = lambda_strong(mu, L, policy.a, policy.b)
-        else:
-            return ["policy has no step size lam"]
-    if lam1 <= 0:
-        out.append(f"lam = {lam1:g} is not positive")
-        return out
-    if not (0.0 < policy.alpha < 1.0):
-        if not (policy.alpha == 0.0 and policy.regime == "custom"):
-            out.append(f"alpha = {policy.alpha:g} outside (0,1)")
-    regime = policy.regime
-    check = regime if regime != "custom" else _closest_regime(policy)
-    if check in ("asymptotic", "constant"):
-        if not (0.0 < policy.eps_bar < 1.0):
-            out.append(f"eps_bar = {policy.eps_bar:g} outside (0,1)")
-        if L > 0 and not (lam1 < 1.0 / (4.0 * L)):
-            out.append(f"lam = {lam1:g} not in (0, 1/(4L)) = (0, {1/(4*L):g})")
-    elif check == "larger_step":
-        if policy.alpha_mode != "constant":
-            out.append("larger_step regime assumes constant inertia")
-        if not (0.0 < policy.nu < 1.0):
-            out.append(f"nu = {policy.nu:g} outside (0,1)")
-        elif L > 0 and not (lam1 < (1.0 - policy.nu) / (2.0 * L)):
-            out.append(
-                f"lam = {lam1:g} not in (0, (1-nu)/(2L)) = "
-                f"(0, {(1 - policy.nu) / (2 * L):g})")
-    elif check == "strongly_monotone":
-        if not (0.0 < policy.a < 1.0):
-            out.append(f"a = {policy.a:g} outside (0,1)")
-        if not (0.0 < policy.b < 1.0):
-            out.append(f"b = {policy.b:g} outside (0,1)")
-        if mu is None or mu <= 0:
-            out.append("strongly_monotone regime without a positive mu")
-        elif 0.0 < policy.a < 1.0 and 0.0 < policy.b < 1.0:
-            cap = lambda_strong(mu, L, policy.a, policy.b)
-            if lam1 > cap:
-                out.append(f"lam = {lam1:g} exceeds lambda_strong = {cap:g}")
-    elif check == "monotone_gap":
-        if L > 0 and not (lam1 < 1.0 / (2.0 * L)):
-            out.append(f"lam = {lam1:g} not in (0, 1/(2L)) = (0, {1/(2*L):g})")
-    if regime == "custom" and policy.rho is None:
-        out.append("custom regime without an explicit rho")
-    return out
+        lam1 = _lam_k(policy, 1, L, mu)
+    except ValueError as exc:
+        return [str(exc)]
+    hypotheses = _COMMON + _REGIMES[policy.regime].hypotheses
+    if policy.regime == "custom":
+        hypotheses += _REGIMES[_closest_regime(policy)].hypotheses
+    return [message(policy, lam1, L, mu)
+            for holds, message, _ in hypotheses
+            if not holds(policy, lam1, L, mu)]
 
 
 def _closest_regime(policy: RegimePolicy) -> str:

@@ -9,12 +9,11 @@ built from two independent mini-batches, and relaxation:
     B_k = independent mini-batch at Y_k       (m_k draws)
     X_{k+1} = (1-rho_k) Z_k + rho_k (Y_k + lam_k (A_k - B_k))
 
-An algebraically identical fixed-point form X_{k+1} = Z_k - rho_k Phi(Z_k)
-is provided to cross-check the arithmetic. Baselines: the same update
-without inertia/relaxation (two-call forward-backward-forward), the
-twice-projected extragradient, projected stochastic approximation with a
-1/sqrt(k) step, and the relaxed inertial proximal point recursion (no
-operator calls at all).
+Baselines: the same kernel at alpha = 0, rho = 1 (two-call
+forward-backward-forward), the twice-projected extragradient, projected
+stochastic approximation with a 1/sqrt(k) step, and the relaxed inertial
+proximal point recursion (no operator calls at all). run() reads each
+method from one table.
 
 Batches are drawn A first then B from the caller-owned stream, so runs are
 bitwise reproducible given (seed, config, problem).
@@ -25,6 +24,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "RunResult",
     "init_state",
     "risfbf_step",
-    "risfbf_step_fixedpoint_form",
     "sfbf_step",
     "seg_step",
     "sa_step",
@@ -46,9 +45,6 @@ __all__ = [
     "run",
     "METHODS",
 ]
-
-METHODS = ("risfbf", "sfbf", "seg", "sa", "proxpoint")
-
 
 @dataclass
 class SolverState:
@@ -110,34 +106,9 @@ def risfbf_step(state: SolverState, problem, alpha_k, lam_k, rho_k, m_k):
     return state
 
 
-def risfbf_step_fixedpoint_form(state: SolverState, problem, alpha_k, lam_k,
-                                rho_k, m_k):
-    """Same update written as X_{k+1} = Z_k - rho_k Phi(Z_k).
-
-    Phi(z) = (z - lam A(z)) - (J(z - lam A(z)) - lam B(J(...))) collects the
-    displacement of the corrected forward-backward step; under a shared
-    stream the iterates match risfbf_step to round-off.
-    """
-    Z = _extrapolate(state, alpha_k)
-    A, _ = minibatch_estimate(problem.oracle, Z, m_k, state.rng)
-    forward = Z - lam_k * A
-    Y = problem.resolvent.apply(forward, lam_k)
-    B, _ = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
-    phi = forward - (Y - lam_k * B)
-    X_new = Z - rho_k * phi
-    _commit(state, X_new, Y, rho_k, 2 * m_k)
-    return state
-
-
 def sfbf_step(state: SolverState, problem, lam, m_k):
-    """Forward-backward-forward with two batches, no inertia or relaxation."""
-    X = state.X
-    A, _ = minibatch_estimate(problem.oracle, X, m_k, state.rng)
-    Y = problem.resolvent.apply(X - lam * A, lam)
-    B, _ = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
-    X_new = Y + lam * (A - B)
-    _commit(state, X_new, Y, 1.0, 2 * m_k)
-    return state
+    """Plain forward-backward-forward: risfbf_step at alpha = 0, rho = 1."""
+    return risfbf_step(state, problem, 0.0, lam, 1.0, m_k)
 
 
 def seg_step(state: SolverState, problem, lam, m_k):
@@ -233,6 +204,26 @@ def _baseline_lam(config: SolverConfig, problem) -> float:
     raise ValueError("no step size: set config.lam or a policy with lam")
 
 
+class _Method(NamedTuple):
+    step: str           # kernel name, resolved per run() so patches apply
+    batches: int        # mini-batches drawn per iteration
+    params: str | None  # "policy": schedule_at, "baseline": (0, lam, 1)
+    args: Callable      # (k, m_k, params_at) -> kernel arguments
+
+
+_TABLE = {
+    "risfbf": _Method("risfbf_step", 2, "policy",
+                      lambda k, m, at: (*at(k), m)),
+    "sfbf": _Method("risfbf_step", 2, "baseline",
+                    lambda k, m, at: (*at(k), m)),
+    "seg": _Method("seg_step", 2, "baseline", lambda k, m, at: (at(k)[1], m)),
+    "sa": _Method("sa_step", 1, None, lambda k, m, at: (k, m)),
+    "proxpoint": _Method("proxpoint_step", 0, "policy",
+                         lambda k, m, at: at(k)),
+}
+METHODS = tuple(_TABLE)
+
+
 def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     """Drive `method` on `problem` until a stop rule fires.
 
@@ -243,7 +234,8 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     drawn from a side stream seeded from the main one at start; the
     trajectory is flagged accordingly.
     """
-    if method not in METHODS:
+    spec = _TABLE.get(method)
+    if spec is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if (config.max_iters is None and config.max_oracle_calls is None
             and config.residual_target is None):
@@ -260,7 +252,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
             if config.strict:
                 raise policy_mod.PolicyViolation(msg)
             warnings.warn(f"policy diagnostics: {msg}", stacklevel=2)
-    if method in ("risfbf", "proxpoint") and pol is None:
+    if spec.params == "policy" and pol is None:
         raise ValueError(f"{method} needs a RegimePolicy")
 
     eval_seed = int(rng.integers(0, 2**63 - 1))
@@ -269,9 +261,15 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
 
     x0 = problem.initial(rng)
     state = init_state(x0, rng)
-    lam_baseline = None
-    if method in ("sfbf", "seg"):
-        lam_baseline = _baseline_lam(config, problem)
+
+    def schedule(k):
+        return policy_mod.schedule_at(pol, k, problem.lipschitz, mu)
+
+    params_at = schedule
+    if spec.params == "baseline":
+        fixed = (0.0, _baseline_lam(config, problem), 1.0)
+        params_at = lambda k: fixed
+    step, batches, args = globals()[spec.step], spec.batches, spec.args
     res_lam = config.residual_lam
     if res_lam is None:
         res_lam = (1.0 / (4.0 * problem.lipschitz)
@@ -306,7 +304,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
             rows_gap.append(np.nan)
         if (config.record_energy and problem.solution is not None
                 and pol is not None and state.k >= 2):
-            ak, lk, rk = _params_at(state.k)
+            ak, lk, rk = schedule(state.k)
             rows_H.append(merit.energy_H(state.X, state.X_prev,
                                          problem.solution, ak, rk, lk,
                                          L_tilde, pol.a))
@@ -317,13 +315,8 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
             points.append(state.X.copy())
         return r
 
-    def _params_at(k):
-        return policy_mod.schedule_at(pol, k, problem.lipschitz, mu)
-
     stopped_by = "max_iters"
     reached = False
-    last_recorded_k = -1
-
     r0 = record()
     last_recorded_k = state.k
     if config.residual_target is not None and not np.isnan(r0) \
@@ -336,31 +329,12 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         if config.max_iters is not None and k > config.max_iters:
             stopped_by = "max_iters"
             break
-        if method == "sa":
-            m_k = batch_size(config.batches, k)
-            cost = m_k
-        elif method == "proxpoint":
-            m_k, cost = 0, 0
-        else:
-            m_k = batch_size(config.batches, k)
-            cost = 2 * m_k
-        if (config.max_oracle_calls is not None
-                and state.oracle_calls + cost > config.max_oracle_calls):
+        m_k = batch_size(config.batches, k) if batches else 0
+        if (config.max_oracle_calls is not None and state.oracle_calls
+                + batches * m_k > config.max_oracle_calls):
             stopped_by = "max_oracle_calls"
             break
-
-        if method == "risfbf":
-            ak, lk, rk = _params_at(k)
-            risfbf_step(state, problem, ak, lk, rk, m_k)
-        elif method == "proxpoint":
-            ak, lk, rk = _params_at(k)
-            proxpoint_step(state, problem, ak, lk, rk)
-        elif method == "sfbf":
-            sfbf_step(state, problem, lam_baseline, m_k)
-        elif method == "seg":
-            seg_step(state, problem, lam_baseline, m_k)
-        else:
-            sa_step(state, problem, k, m_k)
+        step(state, problem, *args(k, m_k, params_at))
 
         due = (state.k - 1) % max(1, config.record_stride) == 0
         if due or config.residual_target is not None:

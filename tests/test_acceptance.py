@@ -22,10 +22,11 @@ from moninc.oracle import (BatchSchedule, NoiseModel, build_oracle,
 from moninc.policy import RegimePolicy, schedule_at
 from moninc.problems import (cap_apply_L, cap_apply_L_adjoint, cap_build,
                              cournot_build, synthetic_build)
-from moninc.solvers import (SolverConfig, init_state, risfbf_step,
-                            risfbf_step_fixedpoint_form, run, sfbf_step)
+from moninc.solvers import (SolverConfig, init_state, risfbf_step, run,
+                            sfbf_step)
 from moninc.theory import (contraction_q, geometric_constant,
                            noise_envelope_B, tau_eps)
+from reference_steps import risfbf_step_fixedpoint_form
 
 REPS = 20
 

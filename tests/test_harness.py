@@ -200,6 +200,9 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "run", boom)
         report = run_experiment(_load(tmp_path))
         assert report.failures == 3
+        assert report.errors == {
+            rep: "NumericFailure: oracle draw 0 is non-finite"
+            for rep in range(3)}
         assert report.means == {}
         summary = _read_csv(tmp_path / "out" / "summary.csv")
         failed_row = next(r for r in summary if r[0] == "failed")
@@ -282,6 +285,15 @@ class TestCompare:
         assert table[0]["residual"] == table[1]["residual"]
         assert table[0]["rel_error"] == table[1]["rel_error"]
 
+    def test_rejects_shared_out_dir_before_running(self, tmp_path):
+        shared = str(tmp_path / "shared")
+        a = _load(tmp_path, REDUCTION_A, name="a.ini", out_dir=shared)
+        b = _load(tmp_path, REDUCTION_B, name="b.ini",
+                  out_dir=str(tmp_path / "shared" / "."))
+        with pytest.raises(ConfigError, match="'a' and 'b'"):
+            compare([a, b])
+        assert not (tmp_path / "shared").exists()
+
 
 class TestCli:
     def test_run_exit_zero_and_prints_summary(self, tmp_path, capsys):
@@ -310,7 +322,10 @@ class TestCli:
         path = _write(tmp_path, BASE_INI)
         code = cli.main(["run", path, "--out-dir", str(tmp_path / "out")])
         assert code == 2
-        assert "all replications failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "all replications failed" in err
+        assert ("demo: replication 2 failed: NumericFailure: oracle draw 0 "
+                "is non-finite") in err
 
     def test_compare_prints_one_row_per_config(self, tmp_path, capsys):
         a = _write(tmp_path, REDUCTION_A, name="a.ini")
@@ -320,6 +335,38 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "risfbf" in out and "sfbf" in out
+
+    def test_compare_out_dir_holds_one_directory_per_label(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        a = _write(tmp_path, REDUCTION_A, name="a.ini")
+        b = _write(tmp_path, REDUCTION_B, name="b.ini")
+        out = tmp_path / "out"
+        assert cli.main(["compare", a, b, "--out-dir", str(out)]) == 0
+        for label in ("a", "b"):
+            assert (out / label / "summary.csv").exists()
+            assert (out / label / "rep_1.csv").exists()
+        assert not (out / "summary.csv").exists()
+
+        # without --out-dir both files fall back to the same default
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["compare", a, b]) == 1
+        assert "'a' and 'b' both write to 'out'" in capsys.readouterr().err
+
+    def test_compare_prints_failure_reasons(self, tmp_path, capsys,
+                                            monkeypatch):
+        def boom(problem, method, cfg, rng=None):
+            raise FloatingPointError("overflow in multiply")
+
+        monkeypatch.setattr(harness, "run", boom)
+        a = _write(tmp_path, REDUCTION_A, name="a.ini")
+        b = _write(tmp_path, REDUCTION_B, name="b.ini")
+        code = cli.main(["compare", a, b, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        for label in ("a", "b"):
+            assert (f"{label}: replication 1 failed: FloatingPointError: "
+                    "overflow in multiply") in err
 
     def test_bounds_reports_contraction_and_complexity(self, tmp_path,
                                                        capsys):

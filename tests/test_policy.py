@@ -188,6 +188,44 @@ def test_validate_custom_checks_nearest_regime():
     assert any("lambda_strong" in m for m in msgs)
 
 
+@pytest.mark.parametrize("regime, L, mu, edge, enforced", [
+    ("asymptotic", 1.0, None, 0.25, True),           # 1/(4L)
+    ("larger_step", 1.0, None, 0.25, True),          # (1-nu)/(2L), nu = 0.5
+    ("monotone_gap", 1.0, None, 0.5, True),          # 1/(2L)
+    # lambda_strong = min(a/(2mu), b mu, (1-a)/(2 L_tilde)) = 0.25; the cap
+    # is advisory so that non-strict runs above it go on after a warning
+    ("strongly_monotone", np.sqrt(0.5), 1.0, 0.25, False),
+])
+def test_step_window_shared_by_schedule_and_validate(regime, L, mu, edge,
+                                                     enforced):
+    def policy(lam):
+        return RegimePolicy(regime=regime, alpha=0.2, lam=lam)
+
+    inside = policy(edge * (1.0 - 1e-9))
+    assert schedule_at(inside, 1, L, mu)[1] == inside.lam
+    assert validate(inside, L, mu) == []
+
+    outside = policy(edge * (1.0 + 1e-9))
+    msgs = validate(outside, L, mu)
+    assert len(msgs) == 1 and f"{outside.lam:g}" in msgs[0]
+    if enforced:
+        with pytest.raises(PolicyViolation, match="not in"):
+            schedule_at(outside, 1, L, mu)
+    else:
+        assert schedule_at(outside, 1, L, mu)[1] == outside.lam
+
+    for lam in (0.0, -edge):
+        assert validate(policy(lam), L, mu) == [
+            f"lam = {lam:g} is not positive"]
+        with pytest.raises(PolicyViolation, match="not positive"):
+            schedule_at(policy(lam), 1, L, mu)
+
+
+def test_constant_is_not_a_regime():
+    with pytest.raises(ValueError, match="unknown regime"):
+        RegimePolicy(regime="constant", alpha=0.1, lam=0.1)
+
+
 def test_policy_constructor_validation():
     with pytest.raises(ValueError):
         RegimePolicy(regime="bogus", alpha=0.1)

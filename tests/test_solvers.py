@@ -4,13 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import moninc.solvers as solvers
 from moninc.core import BoxResolvent, BoxSet
-from moninc.oracle import BatchSchedule, NoiseModel, build_oracle
-from moninc.policy import PolicyViolation, RegimePolicy
-from moninc.problems import synthetic_build
+from moninc.oracle import BatchSchedule, NoiseModel, batch_size, build_oracle
+from moninc.policy import PolicyViolation, RegimePolicy, schedule_at
+from moninc.problems import cournot_build, synthetic_build
 from moninc.solvers import (METHODS, SolverConfig, init_state, proxpoint_step,
-                            risfbf_step, risfbf_step_fixedpoint_form, run,
-                            sa_step, seg_step, sfbf_step)
+                            risfbf_step, run, sa_step, seg_step, sfbf_step)
+from reference_steps import risfbf_step_fixedpoint_form
 
 
 def _noisy_problem(seed=3, sigma=0.5):
@@ -266,6 +267,95 @@ class TestRun:
         out = run(prob, "risfbf", cfg, np.random.default_rng(0))
         assert out.trajectory.points is None
         assert out.X.shape == (300,)
+
+
+STEP_NAMES = ("risfbf_step", "sfbf_step", "seg_step", "sa_step",
+              "proxpoint_step")
+
+
+def _table_case(problem, method):
+    """A policy run for the inertial methods, an explicit step otherwise."""
+    lam = 0.25 / problem.lipschitz
+    pol = RegimePolicy(regime="monotone_gap", alpha=0.2, lam=lam)
+    return SolverConfig(
+        policy=pol if method in ("risfbf", "proxpoint") else None, lam=lam,
+        batches=BatchSchedule.polynomial(1.3), max_iters=25,
+        max_oracle_calls=320)
+
+
+BATCHES_PER_ITERATION = {"risfbf": 2, "sfbf": 2, "seg": 2, "sa": 1,
+                         "proxpoint": 0}
+
+
+def _reference_run(problem, method, cfg, seed):
+    """run() written out with the public kernels called directly."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**63 - 1)           # run() draws the eval seed first
+    state = init_state(problem.initial(rng), rng)
+    L = problem.lipschitz
+    mu = problem.strong_monotonicity or None
+    for k in range(1, cfg.max_iters + 1):
+        m = batch_size(cfg.batches, k)
+        if state.oracle_calls + BATCHES_PER_ITERATION[method] * m \
+                > cfg.max_oracle_calls:
+            break
+        if method == "risfbf":
+            risfbf_step(state, problem, *schedule_at(cfg.policy, k, L, mu), m)
+        elif method == "sfbf":
+            sfbf_step(state, problem, cfg.lam, m)
+        elif method == "seg":
+            seg_step(state, problem, cfg.lam, m)
+        elif method == "sa":
+            sa_step(state, problem, k, m)
+        else:
+            proxpoint_step(state, problem, *schedule_at(cfg.policy, k, L, mu))
+    return state
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("build", [
+        lambda: _noisy_problem(sigma=0.3), lambda: cournot_build(100)],
+        ids=["synthetic", "cournot"])
+    def test_run_matches_direct_kernel_loop_bitwise(self, build, method):
+        prob = build()
+        cfg = _table_case(prob, method)
+        out = run(prob, method, cfg, np.random.default_rng(17))
+        ref = _reference_run(prob, method, cfg, 17)
+        assert out.iterations == ref.k
+        assert np.array_equal(out.X, ref.X)
+        assert np.array_equal(out.X_bar, ref.x_bar())
+        assert out.oracle_calls == ref.oracle_calls
+
+    @pytest.mark.parametrize("method, kernel", [
+        ("risfbf", "risfbf_step"), ("sfbf", "risfbf_step"),
+        ("seg", "seg_step"), ("sa", "sa_step"),
+        ("proxpoint", "proxpoint_step")])
+    def test_patched_kernel_sees_every_iteration(self, monkeypatch, method,
+                                                 kernel):
+        counts = dict.fromkeys(STEP_NAMES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in STEP_NAMES:
+            monkeypatch.setattr(solvers, name,
+                                counting(name, getattr(solvers, name)))
+        prob = _noisy_problem()
+        out = run(prob, method, _table_case(prob, method),
+                  np.random.default_rng(0))
+        # sfbf runs the risfbf kernel directly, never through sfbf_step,
+        # so a tracer wrapping both does not count its steps twice
+        assert counts == {name: (out.iterations - 1 if name == kernel else 0)
+                          for name in STEP_NAMES}
+
+    def test_traced_names_stay_module_attributes(self):
+        # perfbench/tracing.py wraps these by name on moninc.solvers
+        for name in STEP_NAMES + ("minibatch_estimate", "batch_size"):
+            assert callable(getattr(solvers, name)), name
 
 
 class TestConvergenceSmoke:

@@ -37,10 +37,8 @@ from .merit import (
 )
 from .oracle import (
     BatchSchedule,
-    NoiseModel,
     StochasticOracle,
     batch_size,
-    build_oracle,
     empirical_variance,
     minibatch_estimate,
 )

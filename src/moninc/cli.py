@@ -23,7 +23,7 @@ from . import theory
 from .core import NumericFailure
 from .harness import ConfigError, compare, load_config, run_experiment
 from .oracle import empirical_variance
-from .policy import lambda_strong
+from .policy import lipschitz_tilde, schedule_at
 
 _METRICS = ("residual", "rel_error", "gap")
 
@@ -139,9 +139,8 @@ def _cmd_bounds(args) -> int:
     if mu <= 0:
         raise ConfigError("bounds needs a strongly monotone problem")
     L = problem.lipschitz
-    L_tilde = float(np.sqrt(L * L + 0.5))
-    lam = (float(policy.lam) if policy.lam is not None
-           else lambda_strong(mu, L, policy.a, policy.b))
+    L_tilde = lipschitz_tilde(L)
+    _, lam, _ = schedule_at(policy, 1, L, mu)
     q = theory.contraction_q(policy.a, policy.b, lam, mu,
                              policy.alpha_bar, L_tilde)
     s = problem.oracle.variance_bound or 0.0

@@ -1,18 +1,25 @@
 """Experiment configuration, replication, statistics, and CSV export.
 
 A config is an INI file with sections [problem], [solver], [output], [meta].
-Unknown sections or keys are hard errors so typos cannot silently change an
-experiment. run_experiment executes the configured number of replications,
-each on a stream derived from (global seed, replication index), writes one
-trajectory CSV per replication plus a summary CSV, and returns an
-aggregated report. Reruns produce byte-identical CSV bodies except for the
-wall_time_s column.
+One table per section (and per problem kind) declares each key once, as
+key -> (type, parameter it sets): [problem] keys feed the kind's builder in
+`moninc.problems`, [solver] keys feed RegimePolicy, the BatchSchedule
+constructor that batch_kind names, and SolverConfig, and [output]/[meta]
+keys feed ExperimentConfig. An omitted key takes the default of the builder
+or dataclass it feeds. Unknown sections or keys, keys that the chosen batch
+schedule does not read, and missing builder parameters without a default are
+hard errors, so typos cannot silently change an experiment. run_experiment
+executes the configured number of replications, each on a stream derived
+from (global seed, replication index), writes one trajectory CSV per
+replication plus a summary CSV, and returns an aggregated report. Reruns
+produce byte-identical CSV bodies except for the wall_time_s column.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import inspect
 import math
 import os
 import time
@@ -42,30 +49,76 @@ __all__ = [
 CSV_COLUMNS = ("k", "oracle_calls", "residual", "rel_error", "gap",
                "H_k", "wall_time_s")
 
-_PROBLEM_KEYS = {
-    "synthetic": {"kind", "dim", "mu", "skew", "sigma", "bias", "box",
-                  "seed"},
-    "cournot": {"kind", "l_v", "seed", "n_firms", "box_upper"},
-    "cap": {"kind", "seed", "n_groups", "group_size", "overlap", "eta",
-            "noise_std", "ball_radius"},
+# [problem] keys besides `kind`, per kind; each feeds problems.<kind>_build
+_PROBLEMS = {
+    "synthetic": {"dim": (int, "dim"), "mu": (float, "mu"),
+                  "skew": (float, "skew_norm"), "sigma": (float, "sigma"),
+                  "bias": (float, "bias"), "box": (float, "box_halfwidth"),
+                  "seed": (int, "seed")},
+    "cournot": {"l_v": (float, "L_V_target"), "seed": (int, "seed"),
+                "n_firms": (int, "n_firms"),
+                "box_upper": (float, "box_upper")},
+    "cap": {"seed": (int, "seed"), "n_groups": (int, "n_groups"),
+            "group_size": (int, "group_size"), "overlap": (int, "overlap"),
+            "eta": (float, "eta"), "noise_std": (float, "noise_std"),
+            "ball_radius": (float, "ball_radius")},
 }
-_SOLVER_KEYS = {
-    "method", "regime", "alpha", "alpha_mode", "lam", "rho", "a", "b",
-    "eps_bar", "nu", "batch_kind", "batch_m", "batch_theta", "batch_p",
-    "batch_scale", "max_iters", "budget", "residual_target",
-    "record_energy",
+_POLICY_KEYS = {
+    "regime": (str, "regime"), "alpha": (float, "alpha"),
+    "alpha_mode": (str, "alpha_mode"), "lam": (float, "lam"),
+    "rho": (float, "rho"), "a": (float, "a"), "b": (float, "b"),
+    "eps_bar": (float, "eps_bar"), "nu": (float, "nu"),
 }
-_OUTPUT_KEYS = {"out_dir", "stride", "replications", "confidence"}
-_META_KEYS = {"seed", "label", "workers"}
+# parameters of the BatchSchedule constructor that batch_kind names
+_BATCH_KINDS = ("constant", "polynomial", "geometric", "scaled_polynomial")
+_BATCH_KEYS = {
+    "batch_m": (int, "m"), "batch_theta": (float, "theta"),
+    "batch_p": (float, "p"), "batch_scale": (float, "scale"),
+}
+_RUN_KEYS = {  # SolverConfig fields
+    "max_iters": (int, "max_iters"), "budget": (int, "max_oracle_calls"),
+    "residual_target": (float, "residual_target"),
+    "record_energy": (bool, "record_energy"),
+}
+_SECTIONS = {
+    "solver": {"method": (str, "method"), "batch_kind": (str, "kind"),
+               **_POLICY_KEYS, **_BATCH_KEYS, **_RUN_KEYS},
+    "output": {"out_dir": (str, "out_dir"), "stride": (int, "stride"),
+               "replications": (int, "replications"),
+               "confidence": (float, "confidence")},
+    "meta": {"seed": (int, "seed"), "label": (str, "label"),
+             "workers": (int, "workers")},
+}
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _arguments(fn, values: dict, table: dict, what: str) -> dict:
+    """The table's keys present in values, as keyword arguments of fn.
+
+    ConfigError names a key whose parameter fn does not take, or the key of
+    a parameter of fn that has no default and is missing from values.
+    """
+    params = inspect.signature(fn).parameters
+    kwargs = {}
+    for key, (_, name) in table.items():
+        if key in values:
+            if name not in params:
+                raise ConfigError(f"{what} does not read {key!r}")
+            kwargs[name] = values[key]
+        elif name in params and params[name].default is params[name].empty:
+            raise ConfigError(f"{what} missing key {key!r}")
+    return kwargs
+
+
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; build_* methods produce live objects."""
+    """Parsed experiment description; build_* methods produce live objects.
+
+    problem and solver are the coerced INI sections, keyed by INI key.
+    """
 
     problem: dict
     solver: dict
@@ -99,89 +152,51 @@ class ExperimentConfig:
                 "solver needs at least one of max_iters, budget, "
                 "residual_target")
 
+    def _builder_call(self):
+        """(builder, keyword arguments) for the [problem] kind; the builder
+        is looked up in `problems` now, so patches of it apply."""
+        kind = self.problem["kind"]
+        if kind not in _PROBLEMS:
+            raise ConfigError(f"unknown problem kind {kind!r}")
+        build = getattr(problems, f"{kind}_build")
+        return build, _arguments(build, self.problem, _PROBLEMS[kind],
+                                 f"problem {kind!r}")
+
     def build_problem(self):
-        p = dict(self.problem)
-        kind = p.pop("kind")
-        if kind == "synthetic":
-            return problems.synthetic_build(
-                dim=int(p.get("dim", 20)), mu=p.get("mu", 1.0),
-                skew_norm=p.get("skew", 1.0), sigma=p.get("sigma", 0.0),
-                bias=p.get("bias", 0.0),
-                box_halfwidth=p.get("box", 1.0),
-                seed=int(p.get("seed", 0)))
-        if kind == "cournot":
-            return problems.cournot_build(
-                L_V_target=p["l_v"], seed=int(p.get("seed", 0)),
-                n_firms=int(p.get("n_firms", 10)),
-                box_upper=p.get("box_upper", 10.0))
-        if kind == "cap":
-            return problems.cap_build(
-                seed=int(p.get("seed", 0)),
-                n_groups=int(p.get("n_groups", 10)),
-                group_size=int(p.get("group_size", 10)),
-                overlap=int(p.get("overlap", 2)),
-                eta=p.get("eta", 1e-4),
-                noise_std=p.get("noise_std", 0.1),
-                ball_radius=p.get("ball_radius"))
-        raise ConfigError(f"unknown problem kind {kind!r}")
+        build, kwargs = self._builder_call()
+        return build(**kwargs)
 
     def build_policy(self) -> RegimePolicy | None:
-        s = self.solver
-        if s.get("regime") is None:
+        if self.solver.get("regime") is None:
             return None
-        return RegimePolicy(
-            regime=s["regime"], alpha=s.get("alpha", 0.0),
-            lam=s.get("lam"), alpha_mode=s.get("alpha_mode", "constant"),
-            eps_bar=s.get("eps_bar", 0.1), nu=s.get("nu", 0.5),
-            a=s.get("a", 0.5), b=s.get("b", 0.5), rho=s.get("rho"))
+        # RegimePolicy.alpha has no default of its own
+        return RegimePolicy(**_arguments(
+            RegimePolicy, {"alpha": 0.0, **self.solver}, _POLICY_KEYS,
+            "policy"))
 
     def build_batches(self) -> BatchSchedule:
-        s = self.solver
-        kind = s.get("batch_kind", "constant")
-        try:
-            if kind == "constant":
-                return BatchSchedule.constant(s.get("batch_m", 1))
-            if kind == "polynomial":
-                return BatchSchedule.polynomial(s["batch_theta"])
-            if kind == "geometric":
-                return BatchSchedule.geometric(s["batch_p"])
-            if kind == "scaled_polynomial":
-                return BatchSchedule.scaled_polynomial(
-                    s["batch_theta"], s.get("batch_scale", 1.0))
-        except KeyError as exc:
-            raise ConfigError(
-                f"batch schedule {kind!r} missing key {exc.args[0]!r}")
-        raise ConfigError(f"unknown batch_kind {kind!r}")
+        kind = self.solver.get("batch_kind", "constant")
+        if kind not in _BATCH_KINDS:
+            raise ConfigError(f"unknown batch_kind {kind!r}")
+        make = getattr(BatchSchedule, kind)
+        return make(**_arguments(make, self.solver, _BATCH_KEYS,
+                                 f"batch schedule {kind!r}"))
 
     def build_solver_config(self) -> SolverConfig:
         s = self.solver
         return SolverConfig(
             policy=self.build_policy(), batches=self.build_batches(),
             lam=s.get("lam") if s.get("regime") is None else None,
-            max_iters=s.get("max_iters"),
-            max_oracle_calls=s.get("budget"),
-            residual_target=s.get("residual_target"),
-            record_stride=self.stride,
-            record_energy=bool(s.get("record_energy", False)),
-            strict=self.strict)
+            record_stride=self.stride, strict=self.strict,
+            **_arguments(SolverConfig, s, _RUN_KEYS, "solver"))
 
     @property
     def method(self) -> str:
         return self.solver["method"]
 
 
-_FLOAT_KEYS = {"mu", "skew", "sigma", "bias", "box", "l_v", "box_upper",
-               "eta", "noise_std", "ball_radius", "alpha", "lam", "rho",
-               "a", "b", "eps_bar", "nu", "batch_theta", "batch_p",
-               "batch_scale", "residual_target", "confidence"}
-_INT_KEYS = {"dim", "seed", "n_firms", "n_groups", "group_size", "overlap",
-             "batch_m", "max_iters", "budget", "stride", "replications",
-             "workers"}
-_BOOL_KEYS = {"record_energy"}
-
-
-def _coerce(section: str, key: str, raw: str):
-    if key in _BOOL_KEYS:
+def _coerce(section: str, key: str, type_, raw: str):
+    if type_ is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -189,13 +204,9 @@ def _coerce(section: str, key: str, raw: str):
             return False
         raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return type_(raw.strip())
     except ValueError:
         raise ConfigError(f"[{section}] {key}: bad number {raw!r}") from None
-    return raw.strip()
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -211,56 +222,52 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    known_sections = {"problem", "solver", "output", "meta"}
-    extra = set(parser.sections()) - known_sections
+    extra = set(parser.sections()) - {"problem", *_SECTIONS}
     if extra:
         raise ConfigError(f"{path}: unknown section(s) {sorted(extra)}")
     for required in ("problem", "solver"):
         if required not in parser:
             raise ConfigError(f"{path}: missing [{required}] section")
 
-    def read_section(name, allowed):
+    def read_section(name, table):
         if name not in parser:
             return {}
         out = {}
         for key, raw in parser[name].items():
-            if key not in allowed:
+            if key not in table:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{name}]")
-            out[key] = _coerce(name, key, raw)
+            out[key] = _coerce(name, key, table[key][0], raw)
         return out
 
-    prob_raw = dict(parser["problem"])
-    kind = prob_raw.get("kind")
-    if kind not in _PROBLEM_KEYS:
+    kind = parser["problem"].get("kind")
+    if kind not in _PROBLEMS:
         raise ConfigError(
             f"{path}: [problem] kind must be one of "
-            f"{sorted(_PROBLEM_KEYS)}, got {kind!r}")
-    prob = read_section("problem", _PROBLEM_KEYS[kind])
-    solver = read_section("solver", _SOLVER_KEYS)
+            f"{sorted(_PROBLEMS)}, got {kind!r}")
+    prob = read_section("problem", {"kind": (str, "kind"), **_PROBLEMS[kind]})
+    solver, output, meta = (read_section(name, _SECTIONS[name])
+                            for name in ("solver", "output", "meta"))
     if "method" not in solver:
         raise ConfigError(f"{path}: [solver] needs a method")
     if solver["method"] not in solvers.METHODS:
         raise ConfigError(
             f"{path}: unknown method {solver['method']!r}")
-    output = read_section("output", _OUTPUT_KEYS)
-    meta = read_section("meta", _META_KEYS)
 
-    kwargs = dict(
-        problem=prob, solver=solver,
-        out_dir=output.get("out_dir", "out"),
-        stride=output.get("stride", 1),
-        replications=output.get("replications", 1),
-        confidence=output.get("confidence", 0.95),
-        seed=meta.get("seed", 0),
-        label=meta.get("label", os.path.splitext(os.path.basename(path))[0]),
-        workers=meta.get("workers", 1))
+    meta.setdefault("label", os.path.splitext(os.path.basename(path))[0])
+    kwargs = dict(problem=prob, solver=solver, **output, **meta)
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        return ExperimentConfig(**kwargs)
+        cfg = ExperimentConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        cfg._builder_call()
+        cfg.build_batches()
+    except ValueError as exc:  # ConfigError, or a BatchSchedule range check
+        raise ConfigError(f"{path}: {exc}") from None
+    return cfg
 
 
 @dataclass
@@ -414,19 +421,28 @@ def confidence_interval(samples, level: float = 0.95):
     return mean - t * se, mean + t * se
 
 
+def _builder_arguments(cfg: ExperimentConfig):
+    """The [problem] builder and every argument it gets, defaults applied."""
+    build, kwargs = cfg._builder_call()
+    bound = inspect.signature(build).bind(**kwargs)
+    bound.apply_defaults()
+    return build, bound.arguments
+
+
 def compare(configs: list[ExperimentConfig]):
     """Run several solver configs on one shared problem; one row per method.
 
-    All configs must describe the identical problem section (same kind,
-    parameters, and instance seed) so differences are attributable to the
-    solvers alone, and each must write to its own out_dir.
+    All configs must describe the identical problem (same builder and the
+    same arguments once its defaults apply, instance seed included) so
+    differences are attributable to the solvers alone, and each must write
+    to its own out_dir.
     """
     if not configs:
         raise ValueError("compare needs at least one config")
-    ref = configs[0].problem
+    ref = _builder_arguments(configs[0])
     owners = {}
     for cfg in configs:
-        if cfg.problem != ref:
+        if _builder_arguments(cfg) != ref:
             raise ValueError(
                 "compare requires identical [problem] sections; "
                 f"{cfg.label!r} differs from {configs[0].label!r}")

@@ -1,7 +1,10 @@
 """Stochastic oracles, mini-batch estimation, and batch-size schedules.
 
-An oracle returns noisy evaluations of an expectation-valued operator V.
-Mini-batching averages m iid draws so the estimator error variance decays
+An oracle returns noisy evaluations of an expectation-valued operator V,
+and only as mini-batch averages: a StochasticOracle defines batch(x, m, rng),
+the average of m iid draws, next to mean, variance_bound and bias_bound;
+sample() is the batch of one. The built-in oracles live with their problems
+in `moninc.problems`. Mini-batching makes the estimator error variance decay
 like sigma^2/m; schedules grow m with the iteration counter k. Randomness
 always comes from caller-owned numpy Generator streams, so replications are
 reproducible and may run concurrently.
@@ -14,12 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import NumericFailure, UnsupportedOperation, as_point
+from .core import NumericFailure, UnsupportedOperation
 
 __all__ = [
     "StochasticOracle",
-    "NoiseModel",
-    "build_oracle",
     "BatchSchedule",
     "batch_size",
     "minibatch_estimate",
@@ -28,7 +29,7 @@ __all__ = [
 
 
 class StochasticOracle:
-    """Evaluation contract for a sampler of V.
+    """Evaluation contract for a sampler of V: subclasses define batch().
 
     Attributes:
         mean: callable x -> V(x) exactly, or None when unavailable.
@@ -42,128 +43,13 @@ class StochasticOracle:
     variance_bound = None
     bias_bound = 0.0
 
-    def sample(self, x, rng):
-        """One draw of V_hat(x, xi)."""
+    def batch(self, x, m, rng):
+        """Average of m iid draws of V_hat(x, xi)."""
         raise NotImplementedError
 
-    def batch(self, x, m, rng):
-        """Average of m sequential draws. Subclasses vectorize this."""
-        acc = None
-        for t in range(m):
-            s = np.asarray(self.sample(x, rng), dtype=np.float64)
-            if not np.all(np.isfinite(s)):
-                raise NumericFailure(f"oracle draw {t} is non-finite")
-            acc = s if acc is None else acc + s
-        return acc / m
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive noise description: gaussian, uniform, or biased gaussian.
-
-    kind "gaussian": iid N(0, sigma^2) per coordinate.
-    kind "uniform": iid U[-half_width, half_width] per coordinate.
-    kind "biased": gaussian noise plus a deterministic offset of norm
-        bias/sqrt(m) per batch of size m, along a fixed unit direction.
-    """
-
-    kind: str
-    sigma: float = 0.0
-    half_width: float = 0.0
-    bias: float = 0.0
-    direction: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform", "biased"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        for name in ("sigma", "half_width", "bias"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @staticmethod
-    def gaussian(sigma):
-        return NoiseModel(kind="gaussian", sigma=float(sigma))
-
-    @staticmethod
-    def uniform(half_width):
-        return NoiseModel(kind="uniform", half_width=float(half_width))
-
-    @staticmethod
-    def biased(sigma, bias, direction=None):
-        if direction is not None:
-            direction = as_point(direction)
-            n = float(np.linalg.norm(direction))
-            if n == 0:
-                raise ValueError("bias direction must be nonzero")
-            direction = direction / n
-        return NoiseModel(kind="biased", sigma=float(sigma),
-                          bias=float(bias), direction=direction)
-
-
-class _NoiseInjectionOracle(StochasticOracle):
-    """mean_fn plus literal sampled noise; batches draw an (m, d) block.
-
-    Filling an (m, d) array consumes the generator exactly like m sequential
-    d-vectors, so batch() and m calls to sample() see the same draws.
-    """
-
-    def __init__(self, mean_fn, noise: NoiseModel, dim: int):
-        self.mean = mean_fn
-        self.noise = noise
-        self.dim = int(dim)
-        if noise.kind == "uniform":
-            per_coord_var = noise.half_width ** 2 / 3.0
-        else:
-            per_coord_var = noise.sigma ** 2
-        self.variance_bound = float(np.sqrt(self.dim * per_coord_var))
-        self.bias_bound = noise.bias if noise.kind == "biased" else 0.0
-        if noise.kind == "biased":
-            u = noise.direction
-            if u is None:
-                u = np.ones(self.dim) / np.sqrt(self.dim)
-            if u.shape[0] != self.dim:
-                raise ValueError("bias direction dimension mismatch")
-            self._u = u
-        else:
-            self._u = None
-
-    def _noise_block(self, m, rng):
-        if self.noise.kind == "uniform":
-            w = self.noise.half_width
-            if w == 0.0:
-                return None
-            return rng.uniform(-w, w, size=(m, self.dim))
-        if self.noise.sigma == 0.0:
-            return None
-        return self.noise.sigma * rng.standard_normal((m, self.dim))
-
     def sample(self, x, rng):
-        v = np.asarray(self.mean(x), dtype=np.float64)
-        block = self._noise_block(1, rng)
-        if block is not None:
-            v = v + block[0]
-        if self._u is not None:
-            v = v + self.noise.bias * self._u
-        return v
-
-    def batch(self, x, m, rng):
-        v = np.asarray(self.mean(x), dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise NumericFailure("oracle draw 0 is non-finite (mean overflow)")
-        block = self._noise_block(m, rng)
-        if block is not None:
-            if not np.all(np.isfinite(block)):
-                bad = int(np.where(~np.isfinite(block).all(axis=1))[0][0])
-                raise NumericFailure(f"oracle draw {bad} is non-finite")
-            v = v + block.mean(axis=0)
-        if self._u is not None:
-            v = v + (self.noise.bias / np.sqrt(m)) * self._u
-        return v
-
-
-def build_oracle(mean_fn, noise: NoiseModel, dim: int) -> StochasticOracle:
-    """Oracle that adds the given noise model on top of an exact mean map."""
-    return _NoiseInjectionOracle(mean_fn, noise, dim)
+        """One draw of V_hat(x, xi): a batch of one."""
+        return self.batch(x, 1, rng)
 
 
 @dataclass(frozen=True)
@@ -200,7 +86,7 @@ class BatchSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
     @staticmethod
-    def constant(m):
+    def constant(m=1):
         return BatchSchedule(kind="constant", m=int(m))
 
     @staticmethod
@@ -212,7 +98,7 @@ class BatchSchedule:
         return BatchSchedule(kind="geometric", p=float(p))
 
     @staticmethod
-    def scaled_polynomial(theta, scale):
+    def scaled_polynomial(theta, scale=1.0):
         return BatchSchedule(kind="scaled_polynomial", theta=float(theta),
                              scale=float(scale))
 

@@ -33,6 +33,7 @@ __all__ = [
     "rho_strong",
     "rho_monotone",
     "lambda_strong",
+    "lipschitz_tilde",
     "schedule_at",
     "validate",
 ]
@@ -146,6 +147,11 @@ def rho_monotone(alpha_k, lam, L, alpha_bar) -> float:
     return num / den
 
 
+def lipschitz_tilde(L) -> float:
+    """L_tilde = sqrt(L^2 + 1/2), the constant of the linear-rate regime."""
+    return float(np.sqrt(L * L + 0.5))
+
+
 def lambda_strong(mu, L, a, b) -> float:
     """Largest admissible constant step in the linear-rate regime.
 
@@ -157,8 +163,8 @@ def lambda_strong(mu, L, a, b) -> float:
         raise ValueError("a and b must lie in (0,1)")
     if L < 0:
         raise ValueError("L must be nonnegative")
-    lt = np.sqrt(L * L + 0.5)
-    return float(min(a / (2.0 * mu), b * mu, (1.0 - a) / (2.0 * lt)))
+    return float(min(a / (2.0 * mu), b * mu,
+                     (1.0 - a) / (2.0 * lipschitz_tilde(L))))
 
 
 def _rho_larger_step(alpha_k, lam, L, nu, eps_bar) -> float:
@@ -226,8 +232,7 @@ _REGIMES = {
          (lambda p, lam, L, mu: lam <= _strong_cap(p, L, mu),
           lambda p, lam, L, mu: (f"lam = {lam:g} exceeds lambda_strong = "
                                  f"{_strong_cap(p, L, mu):g}"), False)),
-        lambda p, k, ak, lk, L: rho_strong(ak, lk, float(np.sqrt(L * L + 0.5)),
-                                           p.a),
+        lambda p, k, ak, lk, L: rho_strong(ak, lk, lipschitz_tilde(L), p.a),
         default_lam=_strong_cap),
     "monotone_gap": _Regime(
         (_MONOTONE_GAP_WINDOW,),

@@ -33,7 +33,6 @@ __all__ = [
     "cap_build",
     "cap_apply_L",
     "cap_apply_L_adjoint",
-    "cap_oracle_sample",
     "cap_mean",
     "SyntheticAffineInstance",
     "synthetic_build",
@@ -147,10 +146,6 @@ class _CournotOracle(StochasticOracle):
         width = inst.h_high - inst.h_low
         self.variance_bound = float(np.sqrt(inst.n * width ** 2 / 12.0))
 
-    def sample(self, x, rng):
-        h = rng.uniform(self.inst.h_low, self.inst.h_high, self.inst.n)
-        return cournot_oracle_sample(self.inst, x, h)
-
     def batch(self, x, m, rng):
         inst = self.inst
         h = rng.uniform(inst.h_low, inst.h_high, (m, inst.n))
@@ -249,14 +244,6 @@ def cap_apply_L_adjoint(inst: CapInstance, v):
     return out
 
 
-def cap_oracle_sample(inst: CapInstance, z, a, b):
-    """One draw: (a (a^T w - b) + L^* v, -L w) at z = (w, v)."""
-    z = np.asarray(z, dtype=np.float64)
-    w, v = z[:inst.d], z[inst.d:]
-    gw = a * (a @ w - b) + cap_apply_L_adjoint(inst, v)
-    return np.concatenate([gw, -cap_apply_L(inst, w)])
-
-
 def cap_mean(inst: CapInstance, z):
     """Mean operator: the Gaussian design gives E[aa^T] = I, E[ab] = w_true."""
     z = np.asarray(z, dtype=np.float64)
@@ -274,12 +261,6 @@ class _CapOracle(StochasticOracle):
         reach = inst.D + float(np.linalg.norm(inst.w_true))
         self.variance_bound = float(np.sqrt(
             (inst.d + 1) * reach ** 2 + inst.d * inst.sigma_eps ** 2))
-
-    def sample(self, z, rng):
-        inst = self.inst
-        a = rng.standard_normal(inst.d)
-        b = a @ inst.w_true + inst.sigma_eps * rng.standard_normal()
-        return cap_oracle_sample(inst, z, a, b)
 
     def batch(self, z, m, rng):
         inst = self.inst
@@ -392,9 +373,6 @@ class _AffineGaussianOracle(StochasticOracle):
         self.bias_bound = float(bias)
         self._coord_sigma = float(sigma) / np.sqrt(d)
         self._u = np.ones(d) / np.sqrt(d)
-
-    def sample(self, x, rng):
-        return self.batch(x, 1, rng)
 
     def batch(self, x, m, rng):
         v = self.mean(x)

@@ -279,7 +279,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     rows_gap, rows_H, rows_wall = [], [], []
     points = [] if problem.dim <= 256 else None
     t0 = time.perf_counter()
-    L_tilde = float(np.sqrt(problem.lipschitz ** 2 + 0.5))
+    L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
 
     def residual_now():
         nonlocal eval_rng

@@ -17,8 +17,7 @@ import pytest
 from moninc.core import (BallResolvent, BallSet, BoxResolvent, BoxSet,
                          project_ball, project_box, resolvent_product)
 from moninc.merit import GapRegion, dual_gap_affine, energy_Q
-from moninc.oracle import (BatchSchedule, NoiseModel, build_oracle,
-                           minibatch_estimate)
+from moninc.oracle import BatchSchedule, minibatch_estimate
 from moninc.policy import RegimePolicy, schedule_at
 from moninc.problems import (cap_apply_L, cap_apply_L_adjoint, cap_build,
                              cournot_build, synthetic_build)
@@ -26,6 +25,7 @@ from moninc.solvers import (SolverConfig, init_state, risfbf_step, run,
                             sfbf_step)
 from moninc.theory import (contraction_q, geometric_constant,
                            noise_envelope_B, tau_eps)
+from reference_oracles import NoiseModel, build_oracle
 from reference_steps import risfbf_step_fixedpoint_form
 
 REPS = 20

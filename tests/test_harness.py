@@ -1,14 +1,20 @@
 import csv
+import functools
 
 import numpy as np
 import pytest
 
 import moninc.cli as cli
 import moninc.harness as harness
+import moninc.problems as problems
 from moninc.core import NumericFailure
 from moninc.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                             compare, confidence_interval, load_config,
                             run_experiment)
+from moninc.oracle import BatchSchedule
+
+SYNTHETIC_PROBLEM = ("kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
+                     "sigma = 0.2\nseed = 3")
 
 BASE_INI = """\
 [problem]
@@ -79,6 +85,8 @@ class TestLoadConfig:
         lambda t: t.replace("[output]", "[output]\nconfidence = 1.5"),
         lambda t: t.replace("batch_kind = constant\nbatch_m = 2",
                             "batch_kind = warp"),
+        lambda t: t.replace(SYNTHETIC_PROBLEM, "kind = cournot\nseed = 3"),
+        lambda t: t.replace("batch_m = 2", "batch_m = 0"),
     ])
     def test_rejects_malformed_configs(self, tmp_path, mutate):
         with pytest.raises(ConfigError):
@@ -128,6 +136,61 @@ class TestBuilders:
                                    "batch_kind = polynomial")
         with pytest.raises(ConfigError, match="batch_theta"):
             _load(tmp_path, missing).build_batches()
+
+    def test_missing_builder_key_is_named(self, tmp_path):
+        text = BASE_INI.replace(SYNTHETIC_PROBLEM, "kind = cournot")
+        with pytest.raises(ConfigError, match="'l_v'"):
+            _load(tmp_path, text)
+
+    def test_batch_key_the_kind_does_not_read_is_rejected(self, tmp_path):
+        polynomial = "batch_kind = polynomial\nbatch_theta = 1.1\n"
+        unread = BASE_INI.replace("batch_kind = constant\nbatch_m = 2",
+                                  polynomial + "batch_scale = 20")
+        with pytest.raises(ConfigError, match="batch_scale"):
+            _load(tmp_path, unread)
+        scaled = unread.replace("= polynomial", "= scaled_polynomial")
+        sched = _load(tmp_path, scaled).build_batches()
+        assert sched == BatchSchedule.scaled_polynomial(1.1, 20)
+        omitted = BASE_INI.replace("batch_kind = constant\nbatch_m = 2\n", "")
+        assert _load(tmp_path, omitted).build_batches() == \
+            BatchSchedule.constant(1)
+
+    @pytest.mark.parametrize("kind,keys,expected", [
+        ("synthetic", "dim = 6\nmu = 0.5\nskew = 2.0\nsigma = 0.3\n"
+         "bias = 0.1\nbox = 2.5\nseed = 4",
+         {"dim": 6, "mu": 0.5, "skew_norm": 2.0, "sigma": 0.3, "bias": 0.1,
+          "box_halfwidth": 2.5, "seed": 4}),
+        ("cournot", "l_v = 60\nseed = 2\nn_firms = 5\nbox_upper = 7.5",
+         {"L_V_target": 60.0, "seed": 2, "n_firms": 5, "box_upper": 7.5}),
+        ("cap", "seed = 1\nn_groups = 4\ngroup_size = 5\noverlap = 1\n"
+         "eta = 0.001\nnoise_std = 0.2\nball_radius = 3.0",
+         {"seed": 1, "n_groups": 4, "group_size": 5, "overlap": 1,
+          "eta": 0.001, "noise_std": 0.2, "ball_radius": 3.0}),
+    ], ids=["synthetic", "cournot", "cap"])
+    def test_every_problem_key_reaches_its_builder_parameter(
+            self, tmp_path, monkeypatch, kind, keys, expected):
+        builder = getattr(problems, f"{kind}_build")
+        seen = []
+
+        @functools.wraps(builder)
+        def record(**kwargs):
+            seen.append(kwargs)
+            return builder(**kwargs)
+
+        monkeypatch.setattr(problems, f"{kind}_build", record)
+        full = BASE_INI.replace(SYNTHETIC_PROBLEM, f"kind = {kind}\n{keys}")
+        _load(tmp_path, full).build_problem()
+        assert seen[-1] == expected
+        assert {k: type(v) for k, v in seen[-1].items()} == \
+            {k: type(v) for k, v in expected.items()}
+
+        # omitted keys stay absent, so the builder's own defaults apply
+        required = "l_v = 60" if kind == "cournot" else ""
+        bare = BASE_INI.replace(SYNTHETIC_PROBLEM,
+                                f"kind = {kind}\n{required}")
+        _load(tmp_path, bare).build_problem()
+        assert seen[-1] == ({"L_V_target": 60.0} if kind == "cournot"
+                            else {})
 
     def test_problem_kinds_build(self, tmp_path):
         assert _load(tmp_path).build_problem().dim == 8
@@ -275,6 +338,20 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare([])
 
+    def test_spelled_out_default_is_the_same_problem(self, tmp_path):
+        cournot = REDUCTION_B.replace(
+            "kind = synthetic\ndim = 8\nmu = 1.0\nsigma = 0.2\nseed = 3",
+            "kind = cournot\nl_v = 50.0").replace("lam = 0.1", "lam = 0.005")
+        a = _load(tmp_path, cournot, name="a.ini",
+                  out_dir=str(tmp_path / "a"))
+        b = _load(tmp_path, cournot.replace("l_v = 50.0",
+                                            "l_v = 50.0\nn_firms = 10\n"
+                                            "seed = 0\nbox_upper = 10"),
+                  name="b.ini", out_dir=str(tmp_path / "b"))
+        assert a.problem != b.problem
+        table = compare([a, b])
+        assert table[0]["residual"] == table[1]["residual"]
+
     def test_degenerate_parameters_reproduce_the_plain_method(self, tmp_path):
         a = _load(tmp_path, REDUCTION_A, name="a.ini",
                   out_dir=str(tmp_path / "a"))
@@ -377,6 +454,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "contraction q=" in out
         assert "oracle_cost=" in out
+
+    def test_bounds_reads_the_step_of_the_regime(self, tmp_path, capsys):
+        # asymptotic has no default step, so bounds fails as run does
+        path = _write(tmp_path, BASE_INI.replace(
+            "regime = strongly_monotone", "regime = asymptotic"))
+        assert cli.main(["bounds", path]) == 1
+        assert "policy has no step size lam" in capsys.readouterr().err
 
     def test_bounds_requires_strong_monotonicity(self, tmp_path, capsys):
         path = _write(tmp_path, BASE_INI.replace("mu = 1.0", "mu = 0.0"))

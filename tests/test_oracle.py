@@ -4,12 +4,12 @@ import pytest
 from moninc.core import NumericFailure, UnsupportedOperation
 from moninc.oracle import (
     BatchSchedule,
-    NoiseModel,
+    StochasticOracle,
     batch_size,
-    build_oracle,
     empirical_variance,
     minibatch_estimate,
 )
+from reference_oracles import NoiseModel, build_oracle
 
 
 def zero_mean(x):
@@ -170,6 +170,43 @@ class TestEmpiricalVariance:
         with pytest.raises(UnsupportedOperation):
             empirical_variance(oracle, np.zeros(2), 2, 5,
                                np.random.default_rng(0))
+
+
+class _BatchOnly(StochasticOracle):
+    """Defines batch() and nothing else of the sampling contract."""
+
+    def __init__(self, dim):
+        self.mean = lambda x: 2.0 * np.asarray(x, dtype=np.float64)
+        self.variance_bound = float(np.sqrt(dim))
+        self.dim = dim
+
+    def batch(self, x, m, rng):
+        return self.mean(x) + rng.standard_normal(self.dim) / np.sqrt(m)
+
+
+class TestBatchOnlyOracle:
+    def test_minibatch_estimate_and_sample_use_batch(self):
+        oracle = _BatchOnly(4)
+        x = np.arange(4.0)
+        est, used = minibatch_estimate(oracle, x, 9,
+                                       np.random.default_rng(1))
+        np.testing.assert_array_equal(
+            est, oracle.batch(x, 9, np.random.default_rng(1)))
+        assert used == 9
+        np.testing.assert_array_equal(
+            oracle.sample(x, np.random.default_rng(2)),
+            oracle.batch(x, 1, np.random.default_rng(2)))
+
+    def test_empirical_variance_follows_batch_size(self):
+        oracle = _BatchOnly(8)
+        rng = np.random.default_rng(3)
+        v1 = empirical_variance(oracle, np.zeros(8), 1, 400, rng)
+        v4 = empirical_variance(oracle, np.zeros(8), 4, 400, rng)
+        assert v1 / v4 == pytest.approx(4.0, rel=0.5)
+
+    def test_base_contract_has_no_sampler(self):
+        with pytest.raises(NotImplementedError):
+            StochasticOracle().sample(np.zeros(2), np.random.default_rng(0))
 
 
 def test_noise_model_validation():

@@ -238,3 +238,17 @@ class TestSynthetic:
         with pytest.raises(RuntimeError):
             synthetic_build(dim=6, mu=0.0, skew_norm=1.0, seed=0,
                             ref_max_iters=3, ref_tol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cournot_build(50.0, seed=1),
+    lambda: cap_build(seed=2),
+    lambda: synthetic_build(dim=10, sigma=0.8, bias=0.3, seed=3),
+], ids=["cournot", "cap", "synthetic"])
+def test_sample_is_a_batch_of_one_bitwise(build):
+    prob = build()
+    x = prob.initial(np.random.default_rng(0)) + 0.5
+    for seed in range(5):
+        one = prob.oracle.sample(x, np.random.default_rng(seed))
+        batch = prob.oracle.batch(x, 1, np.random.default_rng(seed))
+        np.testing.assert_array_equal(one, batch)

@@ -6,11 +6,12 @@ import pytest
 
 import moninc.solvers as solvers
 from moninc.core import BoxResolvent, BoxSet
-from moninc.oracle import BatchSchedule, NoiseModel, batch_size, build_oracle
+from moninc.oracle import BatchSchedule, batch_size
 from moninc.policy import PolicyViolation, RegimePolicy, schedule_at
 from moninc.problems import cournot_build, synthetic_build
 from moninc.solvers import (METHODS, SolverConfig, init_state, proxpoint_step,
                             risfbf_step, run, sa_step, seg_step, sfbf_step)
+from reference_oracles import NoiseModel, build_oracle
 from reference_steps import risfbf_step_fixedpoint_form
 
 

@@ -7,11 +7,14 @@ key -> (type, parameter it sets): [problem] keys feed the kind's builder in
 constructor that batch_kind names, and SolverConfig, and [output]/[meta]
 keys feed ExperimentConfig. An omitted key takes the default of the builder
 or dataclass it feeds. Unknown sections or keys, keys that the chosen batch
-schedule does not read, and missing builder parameters without a default are
-hard errors, so typos cannot silently change an experiment. run_experiment
-executes the configured number of replications, each on a stream derived
-from (global seed, replication index), writes one trajectory CSV per
-replication plus a summary CSV, and returns an aggregated report. Reruns
+schedule does not read, policy keys other than lam without a regime, and
+missing builder parameters without a default are hard errors, so typos
+cannot silently change an experiment. run_experiment executes the
+configured number of replications, each on a stream derived from (global
+seed, replication index), writes one trajectory CSV per replication plus a
+summary CSV, and returns an aggregated report; a replication that fails
+numerically or breaks its policy's hypotheses is counted and its reason
+kept in RunReport.errors. Reruns
 produce byte-identical CSV bodies except for the wall_time_s column.
 """
 
@@ -32,7 +35,7 @@ from scipy import stats
 from . import problems, solvers
 from .core import NumericFailure
 from .oracle import BatchSchedule
-from .policy import RegimePolicy
+from .policy import PolicyViolation, RegimePolicy
 from .solvers import SolverConfig, run
 
 __all__ = [
@@ -253,6 +256,13 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     if solver["method"] not in solvers.METHODS:
         raise ConfigError(
             f"{path}: unknown method {solver['method']!r}")
+    if "regime" not in solver:
+        # lam alone is the step of the plain methods
+        unread = [k for k in _POLICY_KEYS if k in solver and k != "lam"]
+        if unread:
+            raise ConfigError(
+                f"{path}: [solver] keys {unread} configure a regime policy "
+                "but no regime is set")
 
     meta.setdefault("label", os.path.splitext(os.path.basename(path))[0])
     kwargs = dict(problem=prob, solver=solver, **output, **meta)
@@ -337,7 +347,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         rng = np.random.default_rng([config.seed, rep])
         try:
             result = run(problem, method, scfg, rng=rng)
-        except (NumericFailure, FloatingPointError) as exc:
+        except (NumericFailure, FloatingPointError, PolicyViolation) as exc:
             return rep, None, f"{type(exc).__name__}: {exc}"
         _write_trajectory(
             os.path.join(config.out_dir, f"rep_{rep}.csv"),

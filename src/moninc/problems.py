@@ -14,12 +14,13 @@ mean operator, and whatever ground truth is available:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BallSet, BoxSet, BallResolvent, BoxResolvent,
-                   operator_norm, project_box, resolvent_product)
+from .core import (BoxSet, BoxResolvent, ResolventMap, operator_norm,
+                   project_box)
 from .oracle import StochasticOracle
 
 __all__ = [
@@ -201,7 +202,8 @@ class CapInstance:
 
     Primal block w lives in R^d inside a ball of radius D; one dual block
     per group lives in the unit ball. The linear coupling stacks eta times
-    the group slices of w.
+    the group slices of w; `index` is the groups concatenated, so dual
+    coordinate j couples to primal coordinate index[j].
     """
 
     d: int
@@ -210,10 +212,14 @@ class CapInstance:
     w_true: np.ndarray
     sigma_eps: float
     D: float
+    index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", np.concatenate(self.groups))
 
     @property
     def dual_dim(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return self.index.shape[0]
 
 
 def _build_groups(n_groups, group_size, overlap):
@@ -228,20 +234,19 @@ def cap_apply_L(inst: CapInstance, w):
     w = np.asarray(w, dtype=np.float64)
     if w.shape[0] != inst.d:
         raise ValueError(f"dimension mismatch: {w.shape[0]} vs {inst.d}")
-    return np.concatenate([inst.eta * w[g] for g in inst.groups])
+    return inst.eta * w[inst.index]
 
 
 def cap_apply_L_adjoint(inst: CapInstance, v):
-    """Adjoint of the stacking map: scatter-add eta * v blocks."""
+    """Adjoint of the stacking map: scatter-add eta * v blocks.
+
+    bincount adds the weights in group order, as a loop over the groups
+    would, so the sums are the same to the last bit.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.shape[0] != inst.dual_dim:
         raise ValueError(f"dimension mismatch: {v.shape[0]} vs {inst.dual_dim}")
-    out = np.zeros(inst.d)
-    pos = 0
-    for g in inst.groups:
-        out[g] += inst.eta * v[pos:pos + len(g)]
-        pos += len(g)
-    return out
+    return np.bincount(inst.index, weights=inst.eta * v, minlength=inst.d)
 
 
 def cap_mean(inst: CapInstance, z):
@@ -253,25 +258,80 @@ def cap_mean(inst: CapInstance, z):
 
 
 class _CapOracle(StochasticOracle):
+    """Group-lasso oracle: the mean of m regression samples, drawn by its law.
+
+    A sample is a ~ N(0, I_d) with label b = a.w_true + sigma*e, and the
+    primal part of the batch mean is A^T (A u - sigma e)/m for u = w - w_true.
+    That depends on the draws only through the Gram matrix of (A u_hat, e),
+    which the Bartlett decomposition gives as c1^2 ~ chi2_m,
+    c2^2 ~ chi2_{m-1} and n ~ N(0,1), and through one Gaussian d-vector
+    orthogonal to u_hat. Sampling those is exact in distribution and costs
+    O(d) whatever m is. With r1 = ||u|| c1 - sigma n the primal part is
+    (c1 r1 u_hat + sqrt(r1^2 + sigma^2 c2^2) P g)/m, P the projection
+    orthogonal to u_hat.
+
+    variance_bound holds where ||w - w_true|| <= D + ||w_true||, a set that
+    contains the primal ball ||w|| <= D; the forward steps also query points
+    outside it, where the noise is larger.
+    """
+
     def __init__(self, inst: CapInstance):
         self.inst = inst
         self.mean = lambda z: cap_mean(inst, z)
-        # uniform bound over the primal ball: E||aa^T u - u||^2 = (d+1)||u||^2
-        # for unit-variance Gaussian a, plus d*sigma_eps^2 from the labels
+        # E||aa^T u - u||^2 = (d+1)||u||^2 for unit-variance Gaussian a,
+        # plus d*sigma_eps^2 from the labels
         reach = inst.D + float(np.linalg.norm(inst.w_true))
         self.variance_bound = float(np.sqrt(
             (inst.d + 1) * reach ** 2 + inst.d * inst.sigma_eps ** 2))
+        # any unit vector serves as u_hat at u = 0, where the law is isotropic
+        self._u_hat_at_zero = np.eye(1, inst.d).ravel()
 
     def batch(self, z, m, rng):
         inst = self.inst
         z = np.asarray(z, dtype=np.float64)
         w, v = z[:inst.d], z[inst.d:]
-        A = rng.standard_normal((m, inst.d))
-        e = rng.standard_normal(m)
-        # residuals against noisy labels b_t = a_t.w_true + sigma*e_t
-        res = A @ (w - inst.w_true) - inst.sigma_eps * e
-        gw = (A.T @ res) / m + cap_apply_L_adjoint(inst, v)
+        u = w - inst.w_true
+        norm_u = math.sqrt(u @ u)
+        u_hat = u / norm_u if norm_u > 0.0 else self._u_hat_at_zero
+        c1 = math.sqrt(2.0 * rng.standard_gamma(0.5 * m))
+        c2_sq = 2.0 * rng.standard_gamma(0.5 * (m - 1))  # 0 at m = 1
+        n = rng.standard_normal()
+        g = rng.standard_normal(inst.d)
+        sigma = inst.sigma_eps
+        r1 = norm_u * c1 - sigma * n
+        scale = math.sqrt(r1 * r1 + sigma * sigma * c2_sq)
+        # scale * P g + c1 r1 u_hat, with P g = g - (g.u_hat) u_hat
+        along = c1 * r1 - scale * float(g @ u_hat)
+        gw = (scale * g + along * u_hat) / m + cap_apply_L_adjoint(inst, v)
         return np.concatenate([gw, -cap_apply_L(inst, w)])
+
+
+class _CapResolvent(ResolventMap):
+    """Projection onto the primal D-ball times the groups' dual unit balls.
+
+    The groups have equal size, so the dual blocks project as the rows of
+    one (n_groups, group_size) array.
+    """
+
+    def __init__(self, inst: CapInstance):
+        self.d = inst.d
+        self.D = inst.D
+        self.dual_shape = (len(inst.groups), len(inst.groups[0]))
+        self.dim = inst.d + inst.dual_dim
+
+    def apply(self, z, lam):
+        out = np.array(z, dtype=np.float64)
+        if out.shape[0] != self.dim:
+            raise ValueError(f"dimension mismatch: {out.shape[0]} vs {self.dim}")
+        w = out[:self.d]
+        norm_w = math.sqrt(w @ w)
+        if norm_w > self.D:
+            w *= self.D / norm_w
+        v = out[self.d:].reshape(self.dual_shape)
+        norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+        outside = norms > 1.0
+        v[outside] *= (1.0 / norms[outside])[:, None]
+        return out
 
 
 def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
@@ -301,30 +361,19 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
 
     # dense affine form for merit functions: mean(z) = M z + c
     L_mat = np.zeros((dual_dim, d))
-    pos = 0
-    for g in groups:
-        L_mat[np.arange(pos, pos + len(g)), g] = eta
-        pos += len(g)
+    L_mat[np.arange(dual_dim), inst.index] = eta
     M = np.zeros((total, total))
     M[:d, :d] = np.eye(d)
     M[:d, d:] = L_mat.T
     M[d:, :d] = -L_mat
     c = np.concatenate([-w_true, np.zeros(dual_dim)])
 
-    blocks = [(BallResolvent(BallSet(np.zeros(d), D)), (0, d))]
-    pos = d
-    for g in groups:
-        blocks.append((BallResolvent(BallSet(np.zeros(len(g)), 1.0)),
-                       (pos, pos + len(g))))
-        pos += len(g)
-    resolvent = resolvent_product(blocks)
-
     lipschitz = operator_norm(lambda zz: M @ zz, lambda zz: M.T @ zz, total)
     wn = float(np.linalg.norm(w_true))
     return ProblemInstance(
         dim=total,
         oracle=_CapOracle(inst),
-        resolvent=resolvent,
+        resolvent=_CapResolvent(inst),
         lipschitz=lipschitz,
         strong_monotonicity=0.0,
         feasible=None,

@@ -1,8 +1,11 @@
-"""Noise oracle that tests use: an exact mean plus literally sampled noise.
+"""Oracles that tests use, which sample every draw of a batch literally.
 
 Unlike the synthetic problem's oracle, which draws a batch mean from its
-law, this one draws the whole (m, d) noise block and averages it, so the
-1/m variance law of mini-batching is measured and not true by construction.
+law, the noise oracle here draws the whole (m, d) noise block and averages
+it, so the 1/m variance law of mini-batching is measured and not true by
+construction. `explicit_cap_batch` is the group-lasso batch mean computed
+from an explicit (m, d) block of regression samples: the reference that the
+group-lasso oracle's O(d) sampler must match in law.
 """
 
 from dataclasses import dataclass
@@ -11,6 +14,7 @@ import numpy as np
 
 from moninc.core import NumericFailure, as_point
 from moninc.oracle import StochasticOracle
+from moninc.problems import CapInstance, cap_apply_L, cap_apply_L_adjoint
 
 
 @dataclass(frozen=True)
@@ -111,3 +115,15 @@ class _NoiseInjectionOracle(StochasticOracle):
 def build_oracle(mean_fn, noise: NoiseModel, dim: int) -> StochasticOracle:
     """Oracle that adds the given noise model on top of an exact mean map."""
     return _NoiseInjectionOracle(mean_fn, noise, dim)
+
+
+def explicit_cap_batch(inst: CapInstance, z, m, rng):
+    """Group-lasso batch mean over m literally drawn samples (a, e)."""
+    z = np.asarray(z, dtype=np.float64)
+    w, v = z[:inst.d], z[inst.d:]
+    A = rng.standard_normal((m, inst.d))
+    e = rng.standard_normal(m)
+    # residuals against noisy labels b_t = a_t.w_true + sigma*e_t
+    res = A @ (w - inst.w_true) - inst.sigma_eps * e
+    gw = (A.T @ res) / m + cap_apply_L_adjoint(inst, v)
+    return np.concatenate([gw, -cap_apply_L(inst, w)])

@@ -12,6 +12,7 @@ from moninc.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                             compare, confidence_interval, load_config,
                             run_experiment)
 from moninc.oracle import BatchSchedule
+from moninc.policy import PolicyViolation
 
 SYNTHETIC_PROBLEM = ("kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
                      "sigma = 0.2\nseed = 3")
@@ -87,11 +88,19 @@ class TestLoadConfig:
                             "batch_kind = warp"),
         lambda t: t.replace(SYNTHETIC_PROBLEM, "kind = cournot\nseed = 3"),
         lambda t: t.replace("batch_m = 2", "batch_m = 0"),
+        lambda t: t.replace("regime = strongly_monotone\n", ""),
     ])
     def test_rejects_malformed_configs(self, tmp_path, mutate):
         with pytest.raises(ConfigError):
             cfg = _load(tmp_path, mutate(BASE_INI))
             cfg.build_batches()      # schedule errors surface on build
+
+    def test_policy_keys_without_regime_are_named(self, tmp_path):
+        text = BASE_INI.replace("method = risfbf", "method = sfbf") \
+                       .replace("regime = strongly_monotone\nalpha = 0.1\n",
+                                "lam = 0.1\nalpha = 0.5\nrho = 0.3\n")
+        with pytest.raises(ConfigError, match=r"\['alpha', 'rho'\]"):
+            _load(tmp_path, text)
 
     def test_missing_solver_section_rejected(self, tmp_path):
         text = BASE_INI.split("[solver]")[0]
@@ -270,6 +279,26 @@ class TestRunExperiment:
         summary = _read_csv(tmp_path / "out" / "summary.csv")
         failed_row = next(r for r in summary if r[0] == "failed")
         assert failed_row[1] == "3"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_policy_violation_fails_one_replication(self, tmp_path,
+                                                    monkeypatch, workers):
+        real_run = harness.run
+
+        def violate_in_rep_1(problem, method, cfg, rng=None):
+            # replication r runs on default_rng([seed, r]); BASE_INI's seed is 9
+            if rng.bit_generator.seed_seq.entropy == [9, 1]:
+                raise PolicyViolation("lam_k leaves the step window")
+            return real_run(problem, method, cfg, rng=rng)
+
+        monkeypatch.setattr(harness, "run", violate_in_rep_1)
+        report = run_experiment(_load(tmp_path, workers=workers))
+        assert report.failures == 1
+        assert report.errors == {
+            1: "PolicyViolation: lam_k leaves the step window"}
+        assert len(report.results) == 2
+        assert (tmp_path / "out" / "rep_0.csv").exists()
+        assert not (tmp_path / "out" / "rep_1.csv").exists()
 
 
 class TestConfidenceInterval:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moninc.core import BoxSet
+from moninc.core import BallResolvent, BallSet, BoxSet, resolvent_product
 from moninc.problems import (
     CournotInstance,
     cap_apply_L,
@@ -13,6 +13,7 @@ from moninc.problems import (
     expected_min_uniform,
     synthetic_build,
 )
+from reference_oracles import explicit_cap_batch
 
 
 def _single_firm():
@@ -178,6 +179,115 @@ class TestCap:
         assert prob.lipschitz == pytest.approx(1.0, abs=1e-6)
         assert inst.D == pytest.approx(10.0 * np.linalg.norm(inst.w_true))
         assert cap_build(seed=0, ball_radius=3.0).detail.D == 3.0
+
+    @pytest.mark.parametrize("shape", [(10, 10, 2), (4, 5, 1), (3, 6, 0)])
+    def test_coupling_maps_equal_a_per_group_loop_bitwise(self, shape):
+        n_groups, group_size, overlap = shape
+        inst = cap_build(seed=1, n_groups=n_groups, group_size=group_size,
+                         overlap=overlap).detail
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            w = rng.standard_normal(inst.d) * rng.uniform(0.0, 1e3)
+            v = rng.standard_normal(inst.dual_dim) * rng.uniform(0.0, 1e3)
+            stacked = np.concatenate([inst.eta * w[g] for g in inst.groups])
+            scattered = np.zeros(inst.d)
+            pos = 0
+            for g in inst.groups:
+                scattered[g] += inst.eta * v[pos:pos + len(g)]
+                pos += len(g)
+            np.testing.assert_array_equal(cap_apply_L(inst, w), stacked)
+            np.testing.assert_array_equal(cap_apply_L_adjoint(inst, v),
+                                          scattered)
+
+    def test_resolvent_equals_the_product_of_ball_projections(self):
+        prob = cap_build(seed=0)
+        inst = prob.detail
+        blocks = [(BallResolvent(BallSet(np.zeros(inst.d), inst.D)),
+                   (0, inst.d))]
+        pos = inst.d
+        for g in inst.groups:
+            blocks.append((BallResolvent(BallSet(np.zeros(len(g)), 1.0)),
+                           (pos, pos + len(g))))
+            pos += len(g)
+        product = resolvent_product(blocks)
+        rng = np.random.default_rng(5)
+        zero = np.zeros(prob.dim)
+        np.testing.assert_array_equal(prob.resolvent.apply(zero, 0.1), zero)
+        for _ in range(500):
+            z = rng.standard_normal(prob.dim)
+            # inside every ball: the identity, exactly
+            inside = z / (1.0 + np.linalg.norm(z))
+            np.testing.assert_array_equal(prob.resolvent.apply(inside, 0.1),
+                                          product.apply(inside, 0.1))
+            # outside some or all balls: scaled by norms summed in another
+            # order, so equal up to rounding
+            outside = z * rng.choice([1.0, 10.0, 1e3], size=prob.dim)
+            got = prob.resolvent.apply(outside, 0.1)
+            want = product.apply(outside, 0.1)
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_batch_at_the_ground_truth_is_finite(self):
+        prob = cap_build(seed=0)
+        inst = prob.detail
+        z = np.concatenate([inst.w_true, np.zeros(inst.dual_dim)])
+        rng = np.random.default_rng(6)
+        for m in (1, 2, 50, 10**6):
+            assert np.all(np.isfinite(prob.oracle.batch(z, m, rng)))
+
+
+def _cap_noise_moments(sample, z, m, direction, mean, n_draws, seed):
+    """Per-draw statistics of the primal noise n = batch - mean(z)."""
+    rng = np.random.default_rng(seed)
+    d = direction.shape[0]
+    est = np.array([sample(z, m, rng) for _ in range(n_draws)])
+    # the dual part -L w is exact
+    np.testing.assert_array_equal(est[:, d:], np.broadcast_to(
+        mean[d:], (n_draws, mean.shape[0] - d)))
+    noise = est[:, :d] - mean[:d]
+    sq = np.einsum("ij,ij->i", noise, noise)
+    along = noise @ direction
+    return {"coords": noise, "|n|^2": sq, "|n|^4": sq * sq,
+            "var along u": along ** 2, "third moment along u": along ** 3}
+
+
+@pytest.mark.parametrize("m", [1, 7, 200])
+@pytest.mark.parametrize("at_truth", [False, True], ids=["u!=0", "u=0"])
+def test_cap_sampler_has_the_law_of_the_explicit_sampler(m, at_truth):
+    """The O(d) group-lasso sampler against the (m, d) block it replaces.
+
+    Each moment is compared as a two-sample difference in units of its
+    standard error, and E||n||^2 also against ((d+1)||u||^2 + d sigma^2)/m.
+    """
+    prob = cap_build(seed=0)
+    inst = prob.detail
+    rng = np.random.default_rng(7)
+    w = inst.w_true.copy()
+    if not at_truth:
+        w += 0.3 * rng.standard_normal(inst.d)
+    z = np.concatenate([w, 0.5 * rng.standard_normal(inst.dual_dim)])
+    u = w - inst.w_true
+    # the noise is isotropic at u = 0, so any direction serves there
+    direction = rng.standard_normal(inst.d) if at_truth else u
+    direction = direction / np.linalg.norm(direction)
+    mean = prob.oracle.mean(z)
+    n_draws = 10_000 if m < 100 else 4_000   # the reference costs O(m d)
+    new = _cap_noise_moments(prob.oracle.batch, z, m, direction, mean,
+                             n_draws, seed=8)
+    ref = _cap_noise_moments(
+        lambda zz, mm, r: explicit_cap_batch(inst, zz, mm, r), z, m,
+        direction, mean, n_draws, seed=9)
+    tol = 5.0   # standard errors
+
+    def mean_and_se(x):
+        return x.mean(axis=0), x.std(axis=0, ddof=1) / np.sqrt(n_draws)
+
+    for name in new:
+        (a, se_a), (b, se_b) = mean_and_se(new[name]), mean_and_se(ref[name])
+        assert np.all(np.abs(a - b) <= tol * np.hypot(se_a, se_b)), name
+    expected = ((inst.d + 1) * (u @ u) + inst.d * inst.sigma_eps ** 2) / m
+    for stats in (new, ref):
+        a, se = mean_and_se(stats["|n|^2"])
+        assert abs(a - expected) <= tol * se
 
 
 class TestSynthetic:

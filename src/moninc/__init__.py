@@ -16,7 +16,6 @@ from .core import (
     operator_norm,
     project_ball,
     project_box,
-    resolvent_product,
 )
 from .harness import (
     ConfigError,
@@ -31,8 +30,6 @@ from .merit import (
     GapRegion,
     dual_gap_affine,
     energy_H,
-    energy_Q,
-    relative_error,
     residual,
 )
 from .oracle import (
@@ -75,7 +72,6 @@ from .solvers import (
 )
 from .theory import (
     contraction_q,
-    dominance_constant,
     geometric_constant,
     noise_envelope_B,
     oracle_cost,

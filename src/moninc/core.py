@@ -1,9 +1,8 @@
-"""Ambient-space primitives: points, feasible sets, projections, resolvents.
+"""Ambient-space primitives: feasible sets, projections, resolvents.
 
 Everything downstream (solvers, merit functions, problem builders) works with
 dense 1-D float64 arrays. Set-valued parts enter only through their resolvents,
-which for every built-in problem are closed-form projections; a product
-resolvent composes blockwise maps over a partition of the coordinates.
+which for every built-in problem are closed-form projections.
 """
 
 from __future__ import annotations
@@ -15,16 +14,12 @@ import numpy as np
 __all__ = [
     "NumericFailure",
     "UnsupportedOperation",
-    "as_point",
     "BoxSet",
     "BallSet",
     "project_box",
     "project_ball",
     "ResolventMap",
-    "IdentityResolvent",
     "BoxResolvent",
-    "BallResolvent",
-    "resolvent_product",
     "operator_norm",
 ]
 
@@ -35,18 +30,6 @@ class NumericFailure(RuntimeError):
 
 class UnsupportedOperation(RuntimeError):
     """The object lacks the contract needed for the requested computation."""
-
-
-def as_point(x) -> np.ndarray:
-    """Coerce to a 1-D float64 array and reject non-finite coordinates."""
-    p = np.asarray(x, dtype=np.float64)
-    if p.ndim == 0:
-        p = p.reshape(1)
-    if p.ndim != 1:
-        raise ValueError(f"point must be 1-D, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise NumericFailure("point has non-finite coordinates")
-    return p
 
 
 @dataclass(frozen=True)
@@ -79,7 +62,9 @@ class BallSet:
     radius: float
 
     def __post_init__(self):
-        c = as_point(self.center)
+        c = np.asarray(self.center, dtype=np.float64)
+        if c.ndim != 1 or not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be a finite 1-D array")
         r = float(self.radius)
         if r < 0:
             raise ValueError("ball radius must be nonnegative")
@@ -133,13 +118,6 @@ class ResolventMap:
         return self.apply(x, lam)
 
 
-class IdentityResolvent(ResolventMap):
-    """Resolvent of T = 0: the identity for every lam."""
-
-    def apply(self, x, lam):
-        return np.asarray(x, dtype=np.float64).copy()
-
-
 class BoxResolvent(ResolventMap):
     """Resolvent of the normal cone of a box: projection, independent of lam."""
 
@@ -148,62 +126,6 @@ class BoxResolvent(ResolventMap):
 
     def apply(self, x, lam):
         return project_box(x, self.box)
-
-
-class BallResolvent(ResolventMap):
-    """Resolvent of the normal cone of a ball: projection, independent of lam."""
-
-    def __init__(self, ball: BallSet):
-        self.ball = ball
-
-    def apply(self, x, lam):
-        return project_ball(x, self.ball)
-
-
-class _ProductResolvent(ResolventMap):
-    def __init__(self, blocks, dim):
-        self.blocks = blocks  # list of (resolvent, start, stop)
-        self.dim = dim
-
-    def apply(self, x, lam):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {x.shape[0]} vs {self.dim}")
-        out = np.empty_like(x)
-        for res, start, stop in self.blocks:
-            out[start:stop] = res.apply(x[start:stop], lam)
-        return out
-
-
-def resolvent_product(blocks) -> ResolventMap:
-    """Blockwise resolvent over a partition of the coordinates.
-
-    `blocks` is a sequence of (ResolventMap, index_range) pairs where
-    index_range is a (start, stop) pair or a range object. The ranges must
-    partition [0, d) with d the largest stop; overlaps or gaps are errors.
-    """
-    norm = []
-    for res, rng in blocks:
-        if isinstance(rng, range):
-            if rng.step != 1:
-                raise ValueError("index ranges must have step 1")
-            start, stop = rng.start, rng.stop
-        else:
-            start, stop = int(rng[0]), int(rng[1])
-        if not (0 <= start < stop):
-            raise ValueError(f"bad index range ({start}, {stop})")
-        norm.append((res, start, stop))
-    if not norm:
-        raise ValueError("resolvent_product needs at least one block")
-    norm.sort(key=lambda b: b[1])
-    cursor = 0
-    for _, start, stop in norm:
-        if start < cursor:
-            raise ValueError(f"overlapping index ranges at {start}")
-        if start > cursor:
-            raise ValueError(f"gap in index ranges at [{cursor}, {start})")
-        cursor = stop
-    return _ProductResolvent(norm, cursor)
 
 
 def operator_norm(apply, apply_adjoint, dim: int, iters: int = 200,

@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import problems, solvers
 from .core import NumericFailure
@@ -427,8 +426,45 @@ def confidence_interval(samples, level: float = 0.95):
         raise ValueError("level must lie in (0,1)")
     mean = float(np.mean(arr))
     se = float(np.std(arr, ddof=1) / np.sqrt(arr.size))
-    t = float(stats.t.ppf(0.5 * (1.0 + level), arr.size - 1))
+    t = _t_quantile(level, arr.size - 1)
     return mean - t * se, mean + t * se
+
+
+def _t_quantile(level: float, df: int) -> float:
+    """t with P(|T| <= t) = level for T Student-t with integer df >= 1.
+
+    For integer df, P(|T| <= t) is a finite series in theta = atan(t/sqrt(df))
+    (Abramowitz & Stegun 26.7.3-26.7.4), increasing in theta; bisection on
+    theta in [0, pi/2] inverts it to the last bit of theta. df = 1 is the
+    Cauchy quantile tan(pi level/2).
+    """
+    if df == 1:
+        return math.tan(0.5 * math.pi * level)
+    odd = df % 2 == 1
+    n = (df - 1) // 2 if odd else df // 2
+    j = np.arange(1.0, n)
+    # series coefficients: prod (2i)/(2i+1) for odd df, (2i-1)/(2i) for even
+    coef = np.ones(n)
+    coef[1:] = np.cumprod(2.0 * j / (2.0 * j + 1.0) if odd
+                          else (2.0 * j - 1.0) / (2.0 * j))
+    powers = np.arange(n)
+
+    def two_sided(theta):
+        s, c = math.sin(theta), math.cos(theta)
+        series = float(coef @ (c * c) ** powers)
+        if odd:
+            return 2.0 / math.pi * (theta + s * c * series)
+        return s * series
+
+    lo, hi = 0.0, 0.5 * math.pi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if two_sided(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.sqrt(df) * math.tan(mid)
 
 
 def _builder_arguments(cfg: ExperimentConfig):

@@ -3,9 +3,8 @@
 The residual ||x - J_lam(x - lam V(x))|| vanishes exactly at solutions and
 is the default progress measure. For affine mean operators on compact
 regions the restricted dual gap sup_{p in C} <V(p), x - p> is available as
-a certified merit via an inner concave maximization. Two proof-energy
-quantities are exposed for diagnostics: the linear-rate energy H_k and the
-averaged-rate energy Q_k.
+a certified merit via an inner concave maximization. The linear-rate proof
+energy H_k is exposed for diagnostics.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ __all__ = [
     "GapRegion",
     "residual",
     "dual_gap_affine",
-    "relative_error",
     "energy_H",
-    "energy_Q",
 ]
 
 
@@ -207,16 +204,6 @@ def dual_gap_affine(problem, x, region: GapRegion, max_iters: int = 20_000,
     return float(val)
 
 
-def relative_error(w, w_true):
-    """||w - w_true|| / ||w_true||; undefined for a zero ground truth."""
-    w = np.asarray(w, dtype=np.float64)
-    w_true = np.asarray(w_true, dtype=np.float64)
-    nt = float(np.linalg.norm(w_true))
-    if nt == 0.0:
-        raise ValueError("relative error undefined for zero ground truth")
-    return float(np.linalg.norm(w - w_true) / nt)
-
-
 def energy_H(X_k, X_km1, x_bar, alpha_k, rho_k, lam, L_tilde, a):
     """Linear-rate energy.
 
@@ -234,21 +221,3 @@ def energy_H(X_k, X_km1, x_bar, alpha_k, rho_k, lam, L_tilde, a):
     return float(np.sum((X_k - x_bar) ** 2)
                  + (1.0 - alpha_k) * coef * np.sum((X_k - X_km1) ** 2)
                  - alpha_k * np.sum((X_km1 - x_bar) ** 2))
-
-
-def energy_Q(X_k, X_km1, p, alpha_k, rho_k, lam_k, L):
-    """Averaged-rate energy.
-
-    phi_k - alpha_k phi_{k-1}
-      + (1 - alpha_k)(5/(4 rho_k (1 + L lam_k)) - 1) Delta_k
-    with phi_j = 0.5 ||X_j - p||^2 and Delta_k = 0.5 ||X_k - X_{k-1}||^2.
-    Nonnegative whenever the small-step relaxation rule holds.
-    """
-    X_k = np.asarray(X_k, dtype=np.float64)
-    X_km1 = np.asarray(X_km1, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    phi_k = 0.5 * float(np.sum((X_k - p) ** 2))
-    phi_km1 = 0.5 * float(np.sum((X_km1 - p) ** 2))
-    delta = 0.5 * float(np.sum((X_k - X_km1) ** 2))
-    coef = 5.0 / (4.0 * rho_k * (1.0 + L * lam_k)) - 1.0
-    return float(phi_k - alpha_k * phi_km1 + (1.0 - alpha_k) * coef * delta)

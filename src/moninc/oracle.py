@@ -137,8 +137,8 @@ def batch_size(schedule: BatchSchedule, k: int) -> int:
 def minibatch_estimate(oracle: StochasticOracle, x, m: int, rng):
     """Mini-batch average of m oracle draws at x.
 
-    Returns (estimate, draws_used). Non-finite draws raise NumericFailure
-    naming the offending draw index.
+    Returns (estimate, draws_used). A non-finite estimate raises
+    NumericFailure; run() adds the method, iteration and batch size.
     """
     if m < 1:
         raise ValueError("batch size must be >= 1")

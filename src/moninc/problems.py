@@ -27,7 +27,6 @@ __all__ = [
     "ProblemInstance",
     "CournotInstance",
     "cournot_build",
-    "cournot_oracle_sample",
     "cournot_mean",
     "expected_min_uniform",
     "CapInstance",
@@ -122,13 +121,6 @@ def _cournot_deterministic(inst: CournotInstance, x):
     marginal_cost = inst.b_hat * x + inst.a
     price_term = inst.r * (np.sum(x) + x) - inst.d
     return marginal_cost + price_term
-
-
-def cournot_oracle_sample(inst: CournotInstance, x, h):
-    """One oracle draw: deterministic part plus min(x/eps, h) per firm."""
-    h = np.asarray(h, dtype=np.float64)
-    return _cournot_deterministic(inst, x) + np.minimum(
-        np.asarray(x, dtype=np.float64) / inst.eps, h)
 
 
 def cournot_mean(inst: CournotInstance, x):
@@ -433,6 +425,29 @@ class _AffineGaussianOracle(StochasticOracle):
         return v
 
 
+_POLISH_EVERY = 500  # extragradient sweeps between active-set polishes
+
+
+def _polish(M, c, box, y, lam, tol):
+    """Exact solution for the active set of y, or None if it is not one.
+
+    The coordinates of y at a bound stay there; the free ones solve
+    M_FF x_F = -(c_F + M_FA x_A). The result counts only if its natural
+    residual at lam is at most tol: a wrong active set fails that test,
+    and a singular free block (an odd one of a skew M) raises LinAlgError.
+    """
+    free = (y > box.lower) & (y < box.upper)
+    x = y.copy()
+    try:
+        x[free] = np.linalg.solve(M[np.ix_(free, free)],
+                                  -(c[free] + M[np.ix_(free, ~free)] @ y[~free]))
+    except np.linalg.LinAlgError:
+        return None
+    x = project_box(x, box)
+    resid = float(np.linalg.norm(x - project_box(x - lam * (M @ x + c), box)))
+    return (x, resid) if resid <= tol else None
+
+
 def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
                     sigma: float = 0.0, bias: float = 0.0,
                     box_halfwidth: float = 1.0, seed: int = 0,
@@ -443,8 +458,12 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
     S is a random skew matrix rescaled to the requested spectral norm, so
     the symmetric part of M is exactly mu*I. The reference solution is
     computed at build time by a deterministic extragradient sweep with step
-    1/(4 ||M||) run to residual ref_tol; failing to reach 1e-10 within
-    ref_max_iters is a build error.
+    lam = 1/(4 ||M||) run to natural residual ref_tol. Every 500 sweeps the
+    sweep tries a polish: it reads the active bounds off its projected
+    trial point, solves the linear system of the free coordinates, and
+    stops there if that point's residual at lam is at most ref_tol; a
+    rejected polish leaves the sweep as it was. Failing to reach 1e-10
+    within ref_max_iters sweeps is a build error.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -467,12 +486,17 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
     x = np.zeros(d)
     mean = lambda z: M @ z + c
     resid = np.inf
-    for _ in range(ref_max_iters):
+    for sweep in range(1, ref_max_iters + 1):
         fx = mean(x)
         y = project_box(x - lam * fx, box)
         resid = float(np.linalg.norm(x - y))
         if resid <= ref_tol:
             break
+        if sweep % _POLISH_EVERY == 0:
+            polished = _polish(M, c, box, y, lam, ref_tol)
+            if polished is not None:
+                x, resid = polished
+                break
         x = project_box(x - lam * mean(y), box)
     if resid > 1e-10:
         raise RuntimeError(

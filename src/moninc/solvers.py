@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import merit, policy as policy_mod
+from .core import NumericFailure
 from .oracle import BatchSchedule, batch_size, minibatch_estimate
 
 __all__ = [
@@ -232,7 +233,8 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     (the initial point) at the configured stride, plus the final iterate.
     If the oracle lacks an exact mean, residuals are mini-batch estimates
     drawn from a side stream seeded from the main one at start; the
-    trajectory is flagged accordingly.
+    trajectory is flagged accordingly. A NumericFailure raised by a step
+    is raised again with the method, k, m_k and ||X_k|| in its message.
     """
     spec = _TABLE.get(method)
     if spec is None:
@@ -334,7 +336,12 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                 + batches * m_k > config.max_oracle_calls):
             stopped_by = "max_oracle_calls"
             break
-        step(state, problem, *args(k, m_k, params_at))
+        try:
+            step(state, problem, *args(k, m_k, params_at))
+        except NumericFailure as exc:
+            raise NumericFailure(
+                f"{method} at k={k}, m_k={m_k}, "
+                f"||X||={np.linalg.norm(state.X):.6g}: {exc}") from exc
 
         due = (state.k - 1) % max(1, config.record_stride) == 0
         if due or config.residual_target is not None:

@@ -21,7 +21,6 @@ __all__ = [
     "tau_eps",
     "oracle_cost",
     "poly_rate_constant",
-    "dominance_constant",
 ]
 
 
@@ -148,16 +147,6 @@ def poly_rate_constant(q: float, theta: float, dist1_sq: float, alpha1: float,
                * (math.exp(2.0 * theta) / q - 1.0) / (1.0 - q))
     return (math.exp(-theta) * (theta / lq) ** theta * bracket
             + 4.0 * B / ((1.0 - alpha_bar) * q * lq))
-
-
-def dominance_constant(p: float, q: float) -> float:
-    """D with z q^z <= D p^z for all z >= 0, given 0 < q < p < 1.
-
-    The maximizer of z (q/p)^z gives D = 1/(e ln(p/q)).
-    """
-    if not (0.0 < q < p < 1.0):
-        raise ValueError("need 0 < q < p < 1")
-    return 1.0 / (math.e * math.log(p / q))
 
 
 def _check_rates(p: float, q: float) -> None:

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moninc.core import NumericFailure, as_point
+from moninc.core import NumericFailure
 from moninc.oracle import StochasticOracle
 from moninc.problems import CapInstance, cap_apply_L, cap_apply_L_adjoint
+from reference_core import as_point
 
 
 @dataclass(frozen=True)

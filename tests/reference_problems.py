@@ -1,0 +1,52 @@
+"""Problem-side references that tests compare the library against.
+
+`cournot_oracle_sample` is one literal draw of the capacity game's oracle.
+`extragradient_sweep` is `synthetic_build`'s extragradient sweep without
+the active-set polish, run on a stack of instances at once: row r
+iterates the 1-D sweep of instance r (step 1/(4 ||M_r||), from 0, until
+its natural residual is at most tol); stacking only shares the Python
+overhead of each sweep among the rows.
+"""
+
+import numpy as np
+
+from moninc.problems import CournotInstance, _cournot_deterministic
+
+
+def cournot_oracle_sample(inst: CournotInstance, x, h):
+    """One oracle draw: deterministic part plus min(x/eps, h) per firm."""
+    h = np.asarray(h, dtype=np.float64)
+    return _cournot_deterministic(inst, x) + np.minimum(
+        np.asarray(x, dtype=np.float64) / inst.eps, h)
+
+
+def extragradient_sweep(problems, tol=1e-12, max_iters=1_000_000):
+    """First sweep point of each affine box problem with residual <= tol.
+
+    problems share one dimension and give affine_matrix M, affine_shift c
+    and a box `feasible`. Returns an (R, d) array; a row that does not
+    reach tol within max_iters sweeps is nan.
+    """
+    M = np.stack([p.affine_matrix for p in problems])
+    c = np.stack([p.affine_shift for p in problems])[:, :, None]
+    lo = np.stack([p.feasible.lower for p in problems])[:, :, None]
+    hi = np.stack([p.feasible.upper for p in problems])[:, :, None]
+    lam = np.array([[[1.0 / (4.0 * np.linalg.norm(m, 2))]] for m in M])
+    x = np.zeros_like(c)   # (R, d, 1): matmul treats each row alone
+    out = np.full_like(c, np.nan)
+    rows = np.arange(len(c))   # instances still sweeping, as stack rows
+    tol_sq = tol * tol
+    for _ in range(max_iters):
+        y = np.minimum(np.maximum(x - lam * (M @ x + c), lo), hi)
+        diff = x - y
+        res_sq = np.einsum("rij,rij->r", diff, diff)
+        if res_sq.min() <= tol_sq:
+            reached = res_sq <= tol_sq
+            out[rows[reached]] = x[reached]
+            keep = ~reached
+            if not keep.any():
+                break
+            rows, M, c, lo, hi, lam, x, y = (
+                a[keep] for a in (rows, M, c, lo, hi, lam, x, y))
+        x = np.minimum(np.maximum(x - lam * (M @ y + c), lo), hi)
+    return out[:, :, 0]

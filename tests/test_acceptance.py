@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from moninc.core import (BallResolvent, BallSet, BoxResolvent, BoxSet,
-                         project_ball, project_box, resolvent_product)
-from moninc.merit import GapRegion, dual_gap_affine, energy_Q
+from moninc.core import (BallSet, BoxResolvent, BoxSet, project_ball,
+                         project_box)
+from moninc.merit import GapRegion, dual_gap_affine
 from moninc.oracle import BatchSchedule, minibatch_estimate
 from moninc.policy import RegimePolicy, schedule_at
 from moninc.problems import (cap_apply_L, cap_apply_L_adjoint, cap_build,
@@ -25,6 +25,8 @@ from moninc.solvers import (SolverConfig, init_state, risfbf_step, run,
                             sfbf_step)
 from moninc.theory import (contraction_q, geometric_constant,
                            noise_envelope_B, tau_eps)
+from reference_core import BallResolvent, resolvent_product
+from reference_formulas import energy_Q
 from reference_oracles import NoiseModel, build_oracle
 from reference_steps import risfbf_step_fixedpoint_form
 

@@ -1,5 +1,8 @@
 import csv
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -326,6 +329,56 @@ class TestConfidenceInterval:
             confidence_interval([1.0])
         with pytest.raises(ValueError):
             confidence_interval([1.0, 2.0], level=1.0)
+
+    @pytest.mark.parametrize("level", [0.90, 0.95, 0.99])
+    def test_quantile_matches_scipy(self, level):
+        stats = pytest.importorskip("scipy.stats")
+        for df in [*range(1, 201), 1000]:
+            want = stats.t.ppf(0.5 * (1.0 + level), df)
+            assert harness._t_quantile(level, df) == pytest.approx(
+                want, rel=1e-12, abs=0.0), df
+
+
+COURNOT_INI = """\
+[problem]
+kind = cournot
+l_v = 100
+seed = 0
+
+[solver]
+method = {method}
+batch_kind = constant
+batch_m = 1
+lam = 0.0025
+max_iters = 20
+
+[output]
+replications = 3
+
+[meta]
+label = {method}
+"""
+
+
+def test_scipy_is_not_imported(tmp_path):
+    """Neither `import moninc` nor a `moninc compare` loads scipy."""
+    a = _write(tmp_path, COURNOT_INI.format(method="sfbf"), "a.ini")
+    b = _write(tmp_path, COURNOT_INI.format(method="seg"), "b.ini")
+    script = (
+        "import sys\n"
+        "import moninc\n"
+        "assert 'scipy' not in sys.modules, 'import moninc loads scipy'\n"
+        "from moninc import cli\n"
+        f"code = cli.main(['compare', {a!r}, {b!r}, '--out-dir', "
+        f"{str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'compare loads scipy'\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "sfbf" in proc.stdout and "seg" in proc.stdout
 
 
 REDUCTION_A = """\

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from moninc.core import BallResolvent, BallSet, BoxSet, resolvent_product
+import moninc.problems as problems
+from moninc.core import BallSet, BoxSet
+from moninc.merit import residual
 from moninc.problems import (
     CournotInstance,
     cap_apply_L,
@@ -9,11 +11,12 @@ from moninc.problems import (
     cap_build,
     cournot_build,
     cournot_mean,
-    cournot_oracle_sample,
     expected_min_uniform,
     synthetic_build,
 )
+from reference_core import BallResolvent, resolvent_product
 from reference_oracles import explicit_cap_batch
+from reference_problems import cournot_oracle_sample, extragradient_sweep
 
 
 def _single_firm():
@@ -348,6 +351,40 @@ class TestSynthetic:
         with pytest.raises(RuntimeError):
             synthetic_build(dim=6, mu=0.0, skew_norm=1.0, seed=0,
                             ref_max_iters=3, ref_tol=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("dim", [6, 20])
+    def test_solution_meets_ref_tol_and_matches_the_sweep(self, dim, mu):
+        built = [synthetic_build(dim=dim, mu=mu, skew_norm=1.0, seed=seed)
+                 for seed in range(10)]
+        swept = extragradient_sweep(built, tol=1e-12)
+        for seed, (prob, ref) in enumerate(zip(built, swept)):
+            lam = 1.0 / (4.0 * prob.lipschitz)
+            assert residual(prob, prob.solution, lam) <= 1e-12, seed
+            assert np.linalg.norm(prob.solution - ref) <= 1e-9, seed
+
+    def test_rejected_polish_falls_back_to_sweeping(self, monkeypatch):
+        accepted = []
+        polish = problems._polish
+
+        def spy(*args):
+            out = polish(*args)
+            accepted.append(out is not None)
+            return out
+
+        monkeypatch.setattr(problems, "_polish", spy)
+        # at sweep 500 this instance's active set is still wrong
+        prob = synthetic_build(dim=20, mu=0.0, skew_norm=1.0, seed=0)
+        assert accepted[0] is False and accepted[-1] is True
+        lam = 1.0 / (4.0 * prob.lipschitz)
+        assert residual(prob, prob.solution, lam) <= 1e-12
+
+    def test_polish_rejects_a_singular_free_block(self):
+        # an odd skew matrix is singular; -c is outside its range
+        S = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+        box = BoxSet(np.full(3, -10.0), np.full(3, 10.0))
+        c = np.array([1.0, 0.0, 0.0])
+        assert problems._polish(S, c, box, np.zeros(3), 0.1, 1e-12) is None
 
 
 @pytest.mark.parametrize("build", [

@@ -1,3 +1,4 @@
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 import moninc.solvers as solvers
-from moninc.core import BoxResolvent, BoxSet
-from moninc.oracle import BatchSchedule, batch_size
+from moninc.core import BoxResolvent, BoxSet, NumericFailure
+from moninc.oracle import BatchSchedule, StochasticOracle, batch_size
 from moninc.policy import PolicyViolation, RegimePolicy, schedule_at
 from moninc.problems import cournot_build, synthetic_build
 from moninc.solvers import (METHODS, SolverConfig, init_state, proxpoint_step,
@@ -172,6 +173,35 @@ class TestRun:
         cfg_soft = SolverConfig(policy=bad, max_iters=3)
         with pytest.warns(UserWarning, match="policy diagnostics"):
             run(prob, "risfbf", cfg_soft, np.random.default_rng(0))
+
+    def test_numeric_failure_names_method_iteration_batch_and_norm(self):
+        class FailsOnSixthBatch(StochasticOracle):
+            """Finite until its sixth batch, which is non-finite."""
+            calls = 0
+
+            def batch(self, x, m, rng):
+                self.calls += 1
+                return np.full(x.shape, np.nan if self.calls == 6 else 0.5)
+
+        def problem():
+            return SimpleNamespace(**{**vars(_zero_problem()),
+                                      "oracle": FailsOnSixthBatch()})
+
+        cfg = SolverConfig(lam=0.1, batches=BatchSchedule.constant(2),
+                           max_iters=10, record_residual=False)
+        with pytest.raises(NumericFailure) as info:
+            run(problem(), "sfbf", cfg, np.random.default_rng(0))
+        # two batches per iteration: the sixth is the B batch of k = 3
+        match = re.fullmatch(r"sfbf at k=3, m_k=2, \|\|X\|\|=(\S+): "
+                             r"minibatch estimate is non-finite",
+                             str(info.value))
+        assert match, str(info.value)
+        assert isinstance(info.value.__cause__, NumericFailure)
+        before = run(problem(), "sfbf", SolverConfig(
+            lam=0.1, batches=BatchSchedule.constant(2), max_iters=2,
+            record_residual=False), np.random.default_rng(0))
+        assert float(match.group(1)) == pytest.approx(
+            np.linalg.norm(before.X), rel=1e-5)
 
     def test_iteration_budget_and_row_indexing(self):
         prob = _noisy_problem()

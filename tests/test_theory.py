@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from moninc.oracle import BatchSchedule
-from moninc.theory import (contraction_q, dominance_constant,
-                           geometric_constant, noise_envelope_B, oracle_cost,
-                           poly_rate_constant, tau_eps)
+from moninc.theory import (contraction_q, geometric_constant,
+                           noise_envelope_B, oracle_cost, poly_rate_constant,
+                           tau_eps)
+from reference_formulas import dominance_constant
 
 
 class TestContraction:

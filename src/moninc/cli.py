@@ -23,7 +23,7 @@ from . import theory
 from .core import NumericFailure
 from .harness import ConfigError, compare, load_config, run_experiment
 from .oracle import empirical_variance
-from .policy import lipschitz_tilde, schedule_at
+from .policy import alpha_at, lipschitz_tilde, schedule_at
 
 _METRICS = ("residual", "rel_error", "gap")
 
@@ -80,6 +80,12 @@ def _fmt(v) -> str:
     return f"{v:.6g}"
 
 
+def _print_errors(report) -> None:
+    for rep, reason in report.errors.items():
+        print(f"{report.label}: replication {rep} failed: {reason}",
+              file=sys.stderr)
+
+
 def _print_report(report) -> None:
     print(f"{report.label}: method={report.method} "
           f"replications={report.replications} failed={report.failures} "
@@ -93,9 +99,7 @@ def _print_report(report) -> None:
             line += f" ci=[{_fmt(lo)}, {_fmt(hi)}]"
         print(line)
     print(f"  outputs: {report.out_dir}/summary.csv")
-    for rep, reason in report.errors.items():
-        print(f"{report.label}: replication {rep} failed: {reason}",
-              file=sys.stderr)
+    _print_errors(report)
 
 
 def _cmd_run(args) -> int:
@@ -113,18 +117,16 @@ def _cmd_compare(args) -> int:
     if args.out_dir is not None:
         for cfg in cfgs:
             cfg.out_dir = os.path.join(args.out_dir, cfg.label)
-    table = compare(cfgs)
+    reports = compare(cfgs)
     header = f"{'label':<20} {'method':<9} " + " ".join(
         f"{m:>12}" for m in _METRICS) + f" {'wall_s':>8} {'failed':>6}"
     print(header)
-    for row in table:
-        cells = " ".join(f"{_fmt(row[m]):>12}" for m in _METRICS)
-        print(f"{row['label']:<20} {row['method']:<9} {cells} "
-              f"{row['wall_seconds']:>8.2f} {row['failed']:>6}")
-        for rep, reason in row["errors"].items():
-            print(f"{row['label']}: replication {rep} failed: {reason}",
-                  file=sys.stderr)
-    if all(row["failed"] >= row["replications"] for row in table):
+    for report in reports:
+        cells = " ".join(f"{_fmt(report.means.get(m)):>12}" for m in _METRICS)
+        print(f"{report.label:<20} {report.method:<9} {cells} "
+              f"{report.wall_seconds:>8.2f} {report.failures:>6}")
+        _print_errors(report)
+    if all(r.failures >= r.replications for r in reports):
         return 2
     return 0
 
@@ -156,7 +158,7 @@ def _cmd_bounds(args) -> int:
     rng = np.random.default_rng([cfg.seed, 0])
     x1 = problem.initial(rng)
     dist1_sq = float(np.sum((x1 - problem.solution) ** 2))
-    alpha1 = policy.alpha if policy.alpha_mode == "constant" else 0.0
+    alpha1 = alpha_at(policy, 1)
     print(f"dist(X_1, solution)^2 = {dist1_sq:.6g} (replication 0 start)")
 
     schedule = cfg.build_batches()

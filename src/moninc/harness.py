@@ -14,8 +14,10 @@ configured number of replications, each on a stream derived from (global
 seed, replication index), writes one trajectory CSV per replication plus a
 summary CSV, and returns an aggregated report; a replication that fails
 numerically or breaks its policy's hypotheses is counted and its reason
-kept in RunReport.errors. Reruns
-produce byte-identical CSV bodies except for the wall_time_s column.
+kept in RunReport.errors. Both CSVs take their columns from
+solvers.COLUMNS (the summary's rows lead with the replication index), and
+one cell formatter writes both. Reruns produce byte-identical CSV bodies
+except for the wall_time_s column.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = ("k", "oracle_calls", "residual", "rel_error", "gap",
-               "H_k", "wall_time_s")
+CSV_COLUMNS = solvers.COLUMNS
+_METRICS = CSV_COLUMNS[2:-1]  # the columns summarised across replications
 
 # [problem] keys besides `kind`, per kind; each feeds problems.<kind>_build
 _PROBLEMS = {
@@ -287,7 +289,6 @@ class RunReport:
     method: str
     replications: int
     failures: int
-    finals: dict = field(default_factory=dict)
     means: dict = field(default_factory=dict)
     stderrs: dict = field(default_factory=dict)
     cis: dict = field(default_factory=dict)
@@ -306,35 +307,26 @@ def _fmt(v) -> str:
     return f"{f:.17g}"
 
 
-def _write_trajectory(path: str, traj) -> None:
+def _cells(traj, i) -> list:
+    """Row i of a trajectory as CSV cells, in CSV_COLUMNS order."""
+    k, calls, *metrics = (getattr(traj, c)[i] for c in CSV_COLUMNS)
+    return [int(k), int(calls), *map(_fmt, metrics)]
+
+
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i in range(len(traj.k)):
-            writer.writerow([
-                int(traj.k[i]), int(traj.oracle_calls[i]),
-                _fmt(traj.residual[i]), _fmt(traj.rel_error[i]),
-                _fmt(traj.gap[i]), _fmt(traj.H_k[i]),
-                _fmt(traj.wall_time_s[i]),
-            ])
-
-
-_FINAL_METRICS = ("residual", "rel_error", "gap", "H_k")
-
-
-def _final_row(rep_index, result):
-    traj = result.trajectory
-    row = {"rep": rep_index,
-           "k": int(traj.k[-1]),
-           "oracle_calls": int(traj.oracle_calls[-1]),
-           "wall_time_s": float(traj.wall_time_s[-1])}
-    for name in _FINAL_METRICS:
-        row[name] = float(getattr(traj, name)[-1])
-    return row
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Execute all replications of one configured experiment."""
+    """Execute all replications of one configured experiment.
+
+    Replication r writes its trajectory to rep_<r>.csv; summary.csv holds
+    the last row of each successful replication, then the mean, stderr and
+    confidence bounds of each metric column and the failure count.
+    """
     problem = config.build_problem()
     scfg = config.build_solver_config()
     method = config.method
@@ -347,74 +339,51 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         try:
             result = run(problem, method, scfg, rng=rng)
         except (NumericFailure, FloatingPointError, PolicyViolation) as exc:
-            return rep, None, f"{type(exc).__name__}: {exc}"
-        _write_trajectory(
-            os.path.join(config.out_dir, f"rep_{rep}.csv"),
-            result.trajectory)
-        return rep, result, None
+            return None, f"{type(exc).__name__}: {exc}"
+        traj = result.trajectory
+        _write_csv(os.path.join(config.out_dir, f"rep_{rep}.csv"),
+                   CSV_COLUMNS, (_cells(traj, i) for i in range(len(traj.k))))
+        return result, None
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(one_rep, range(config.replications)))
     else:
         outcomes = [one_rep(r) for r in range(config.replications)]
-    outcomes.sort(key=lambda t: t[0])
-
-    rows, results, errors = [], [], {}
-    for rep, result, err in outcomes:
-        if result is None:
-            errors[rep] = err
-            continue
-        rows.append(_final_row(rep, result))
-        results.append(result)
-
+    errors = {rep: err for rep, (_, err) in enumerate(outcomes)
+              if err is not None}
+    done = [(rep, res) for rep, (res, _) in enumerate(outcomes)
+            if res is not None]
     report = RunReport(
         label=config.label, method=method,
         replications=config.replications, failures=len(errors),
         wall_seconds=time.perf_counter() - t_start,
-        out_dir=config.out_dir, results=results, errors=errors)
+        out_dir=config.out_dir, results=[res for _, res in done],
+        errors=errors)
 
-    for name in _FINAL_METRICS:
-        vals = np.array([r[name] for r in rows], dtype=np.float64)
+    for name in _METRICS:
+        vals = np.array([getattr(res.trajectory, name)[-1]
+                         for res in report.results], dtype=np.float64)
         vals = vals[~np.isnan(vals)]
         if vals.size == 0:
             continue
-        report.finals[name] = vals
         report.means[name] = float(np.mean(vals))
         if vals.size >= 2:
             report.stderrs[name] = float(np.std(vals, ddof=1)
                                          / np.sqrt(vals.size))
             report.cis[name] = confidence_interval(vals, config.confidence)
 
-    _write_summary(os.path.join(config.out_dir, "summary.csv"),
-                   rows, report)
+    rows = [[rep, *_cells(res.trajectory, -1)] for rep, res in done]
+    cis = report.cis
+    for tag, values in (("mean", report.means), ("stderr", report.stderrs),
+                        ("ci_lo", {m: ci[0] for m, ci in cis.items()}),
+                        ("ci_hi", {m: ci[1] for m, ci in cis.items()})):
+        rows.append([tag, "", "", *(_fmt(values.get(m)) for m in _METRICS),
+                     ""])
+    rows.append(["failed", report.failures] + [""] * (len(CSV_COLUMNS) - 1))
+    _write_csv(os.path.join(config.out_dir, "summary.csv"),
+               ("rep",) + CSV_COLUMNS, rows)
     return report
-
-
-def _write_summary(path: str, rows, report: RunReport) -> None:
-    cols = ("rep",) + ("k", "oracle_calls") + _FINAL_METRICS + ("wall_time_s",)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([row["rep"], row["k"], row["oracle_calls"]]
-                            + [_fmt(row[m]) for m in _FINAL_METRICS]
-                            + [_fmt(row["wall_time_s"])])
-
-        def stat_row(tag, getter):
-            out = [tag, "", ""]
-            for m in _FINAL_METRICS:
-                out.append(_fmt(getter(m)))
-            out.append("")
-            writer.writerow(out)
-
-        stat_row("mean", lambda m: report.means.get(m))
-        stat_row("stderr", lambda m: report.stderrs.get(m))
-        stat_row("ci_lo", lambda m: report.cis[m][0]
-                 if m in report.cis else None)
-        stat_row("ci_hi", lambda m: report.cis[m][1]
-                 if m in report.cis else None)
-        writer.writerow(["failed", report.failures, "", "", "", "", "", ""])
 
 
 def confidence_interval(samples, level: float = 0.95):
@@ -475,8 +444,8 @@ def _builder_arguments(cfg: ExperimentConfig):
     return build, bound.arguments
 
 
-def compare(configs: list[ExperimentConfig]):
-    """Run several solver configs on one shared problem; one row per method.
+def compare(configs: list[ExperimentConfig]) -> list[RunReport]:
+    """Run several solver configs on one shared problem; one report each.
 
     All configs must describe the identical problem (same builder and the
     same arguments once its defaults apply, instance seed included) so
@@ -498,16 +467,4 @@ def compare(configs: list[ExperimentConfig]):
                 f"{owners[out]!r} and {cfg.label!r} both write to "
                 f"{cfg.out_dir!r}; give each config its own out_dir")
         owners[out] = cfg.label
-    table = []
-    for cfg in configs:
-        report = run_experiment(cfg)
-        row = {"label": cfg.label, "method": report.method,
-               "replications": report.replications,
-               "failed": report.failures,
-               "errors": report.errors,
-               "wall_seconds": report.wall_seconds}
-        for m in _FINAL_METRICS:
-            row[m] = report.means.get(m)
-            row[m + "_ci"] = report.cis.get(m)
-        table.append(row)
-    return table
+    return [run_experiment(cfg) for cfg in configs]

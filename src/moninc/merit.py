@@ -9,7 +9,7 @@ energy H_k is exposed for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,110 +49,97 @@ def residual(problem, x, lam: float, rng=None, est_batch: int = 10_000):
 class GapRegion:
     """Compact slice C = (feasible geometry) intersect ball(anchor, radius).
 
-    geometry is a BoxSet, a BallSet, or None (ball only).
+    geometry is a BoxSet, a BallSet, or None (ball only), of the anchor's
+    dimension. Construction settles once which single set C is (the gap
+    ball, the box, or the geometry ball) when one of the two contains the
+    other; `single` is None when C is a strict intersection, which
+    `project` handles by Dykstra's alternating projections.
     """
 
     anchor: np.ndarray
     radius: float
     geometry: object = None
+    ball: BallSet = field(init=False, repr=False, compare=False)
+    single: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.anchor, dtype=np.float64)
         object.__setattr__(self, "anchor", a)
         if self.radius <= 0:
             raise ValueError("gap region radius must be positive")
-
-
-def _ball_covers_box(ball_c, ball_r, box: BoxSet) -> bool:
-    far = np.maximum(np.abs(box.lower - ball_c), np.abs(box.upper - ball_c))
-    return float(np.linalg.norm(far)) <= ball_r * (1.0 + 1e-12)
-
-
-def _box_covers_ball(box: BoxSet, ball_c, ball_r) -> bool:
-    return bool(np.all(ball_c - ball_r >= box.lower - 1e-12)
-                and np.all(ball_c + ball_r <= box.upper + 1e-12))
-
-
-class _Region:
-    """Projection and membership for C, reduced to a single set when one of
-    the two (geometry, gap ball) contains the other; Dykstra otherwise."""
-
-    def __init__(self, region: GapRegion, dim: int):
-        self.anchor = region.anchor
-        self.radius = float(region.radius)
-        geo = region.geometry
-        if geo is not None and getattr(geo, "dim", dim) != dim:
-            raise ValueError("gap region geometry dimension mismatch")
-        self.box = geo if isinstance(geo, BoxSet) else None
-        self.geo_ball = geo if isinstance(geo, BallSet) else None
-        self.mode = "both"
+        ball = BallSet(a, self.radius)
+        geo, single = self.geometry, None
         if geo is None:
-            self.mode = "ball"
-        elif self.box is not None:
-            if _ball_covers_box(self.anchor, self.radius, self.box):
-                self.mode = "box"
-            elif _box_covers_ball(self.box, self.anchor, self.radius):
-                self.mode = "ball"
-        elif self.geo_ball is not None:
-            gap_in_geo = (float(np.linalg.norm(self.anchor - self.geo_ball.center))
-                          + self.radius) <= self.geo_ball.radius * (1 + 1e-12)
-            geo_in_gap = (float(np.linalg.norm(self.anchor - self.geo_ball.center))
-                          + self.geo_ball.radius) <= self.radius * (1 + 1e-12)
-            if gap_in_geo:
-                self.mode = "ball"
-            elif geo_in_gap:
-                self.mode = "geoball"
+            single = ball
+        elif not isinstance(geo, (BoxSet, BallSet)):
+            raise ValueError("gap region geometry must be a BoxSet or BallSet")
+        elif geo.dim != a.shape[0]:
+            raise ValueError("gap region geometry dimension mismatch")
+        elif isinstance(geo, BoxSet):
+            far = np.maximum(np.abs(geo.lower - a), np.abs(geo.upper - a))
+            if float(np.linalg.norm(far)) <= ball.radius * (1.0 + 1e-12):
+                single = geo
+            elif bool(np.all(a - ball.radius >= geo.lower - 1e-12)
+                      and np.all(a + ball.radius <= geo.upper + 1e-12)):
+                single = ball
+        else:
+            gap = float(np.linalg.norm(a - geo.center))
+            if gap + ball.radius <= geo.radius * (1 + 1e-12):
+                single = ball
+            elif gap + geo.radius <= ball.radius * (1 + 1e-12):
+                single = geo
+        object.__setattr__(self, "ball", ball)
+        object.__setattr__(self, "single", single)
 
     def project(self, p):
-        ball = BallSet(self.anchor, self.radius)
-        if self.mode == "box":
-            return project_box(p, self.box)
-        if self.mode == "ball":
-            return project_ball(p, ball)
-        if self.mode == "geoball":
-            return project_ball(p, self.geo_ball)
-        # Dykstra's alternating projections onto geometry and the gap ball
+        """Projection onto C."""
+        if isinstance(self.single, BoxSet):
+            return project_box(p, self.single)
+        if self.single is not None:
+            return project_ball(p, self.single)
+        # Dykstra's alternating projections onto geometry and the gap ball;
+        # done once the corrections q1, q2 stop moving (x = y = xn): x alone
+        # can stand still for a sweep while they still move
+        proj_geo = project_box if isinstance(self.geometry, BoxSet) \
+            else project_ball
         x = np.asarray(p, dtype=np.float64).copy()
         q1 = np.zeros_like(x)
         q2 = np.zeros_like(x)
-        proj_geo = (lambda z: project_box(z, self.box)) if self.box is not None \
-            else (lambda z: project_ball(z, self.geo_ball))
         for _ in range(1000):
-            y = proj_geo(x + q1)
+            y = proj_geo(x + q1, self.geometry)
             q1 = x + q1 - y
-            xn = project_ball(y + q2, ball)
+            xn = project_ball(y + q2, self.ball)
             q2 = y + q2 - xn
-            if np.linalg.norm(xn - x) <= 1e-13:
-                x = xn
-                break
+            moved = np.linalg.norm(x - y) + np.linalg.norm(y - xn)
             x = xn
+            if moved <= 1e-13:
+                break
         return x
 
     def contains(self, p, tol=1e-10):
         if np.linalg.norm(p - self.anchor) > self.radius + tol:
             return False
-        if self.box is not None:
-            return bool(np.all(p >= self.box.lower - tol)
-                        and np.all(p <= self.box.upper + tol))
-        if self.geo_ball is not None:
-            return float(np.linalg.norm(p - self.geo_ball.center)) \
-                <= self.geo_ball.radius + tol
+        geo = self.geometry
+        if isinstance(geo, BoxSet):
+            return bool(np.all(p >= geo.lower - tol)
+                        and np.all(p <= geo.upper + tol))
+        if geo is not None:
+            return float(np.linalg.norm(p - geo.center)) <= geo.radius + tol
         return True
 
     def support_point(self, g):
         """argmax over C of <g, p> for the linear (skew-coupling) case."""
-        if self.mode == "box":
-            return np.where(g >= 0, self.box.upper, self.box.lower)
-        if self.mode in ("ball", "geoball"):
-            ball = BallSet(self.anchor, self.radius) if self.mode == "ball" \
-                else self.geo_ball
-            ng = float(np.linalg.norm(g))
-            if ng == 0:
-                return np.asarray(ball.center, dtype=np.float64).copy()
-            return ball.center + (ball.radius / ng) * g
-        raise UnsupportedOperation(
-            "linear gap objective over a strict set intersection "
-            "is not supported")
+        if isinstance(self.single, BoxSet):
+            return np.where(g >= 0, self.single.upper, self.single.lower)
+        if self.single is None:
+            raise UnsupportedOperation(
+                "linear gap objective over a strict set intersection "
+                "is not supported")
+        ball = self.single
+        ng = float(np.linalg.norm(g))
+        if ng == 0:
+            return ball.center.copy()
+        return ball.center + (ball.radius / ng) * g
 
 
 def dual_gap_affine(problem, x, region: GapRegion, max_iters: int = 20_000,
@@ -172,7 +159,6 @@ def dual_gap_affine(problem, x, region: GapRegion, max_iters: int = 20_000,
         raise UnsupportedOperation(
             "dual gap needs an affine mean (affine_matrix/affine_shift)")
     x = np.asarray(x, dtype=np.float64)
-    reg = _Region(region, x.shape[0])
 
     sym = M + M.T
     sym_norm = float(np.linalg.norm(sym, 2)) if sym.any() else 0.0
@@ -183,23 +169,23 @@ def dual_gap_affine(problem, x, region: GapRegion, max_iters: int = 20_000,
     if sym_norm == 0.0:
         # <Mp+c, x-p> = <c, x> + <M^T x - c, p> when p^T M p = 0
         g = M.T @ x - c
-        p = reg.support_point(g)
+        p = region.support_point(g)
         val = objective(p)
     else:
-        p = reg.project(reg.anchor.copy())
+        p = region.project(region.anchor)
         step = 1.0 / sym_norm
         g0 = M.T @ x - c
         val = objective(p)
         for _ in range(max_iters):
             grad = g0 - sym @ p
-            p = reg.project(p + step * grad)
+            p = region.project(p + step * grad)
             new_val = objective(p)
             if abs(new_val - val) <= tol:
                 val = new_val
                 break
             val = new_val
 
-    if reg.contains(x):
+    if region.contains(x):
         val = max(val, 0.0)
     return float(val)
 

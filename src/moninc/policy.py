@@ -163,8 +163,12 @@ def lambda_strong(mu, L, a, b) -> float:
         raise ValueError("a and b must lie in (0,1)")
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return float(min(a / (2.0 * mu), b * mu,
-                     (1.0 - a) / (2.0 * lipschitz_tilde(L))))
+    return float(_lambda_strong_tilde(mu, lipschitz_tilde(L), a, b))
+
+
+def _lambda_strong_tilde(mu, L_tilde, a, b):
+    """lambda_strong in terms of L_tilde, unchecked."""
+    return min(a / (2.0 * mu), b * mu, (1.0 - a) / (2.0 * L_tilde))
 
 
 def _rho_larger_step(alpha_k, lam, L, nu, eps_bar) -> float:

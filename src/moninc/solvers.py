@@ -35,6 +35,7 @@ from .oracle import BatchSchedule, batch_size, minibatch_estimate
 __all__ = [
     "SolverState",
     "SolverConfig",
+    "COLUMNS",
     "Trajectory",
     "RunResult",
     "init_state",
@@ -149,9 +150,10 @@ class SolverConfig:
     """Run-level knobs: schedules, stopping, and what to record.
 
     Exactly the stop rules that are set apply (at least one of max_iters,
-    max_oracle_calls, residual_target is required). lam overrides the
-    policy step for the baselines; when absent, 1/(4L) is used. The
-    residual column uses residual_lam (default 1/(4L)).
+    max_oracle_calls, residual_target is required); residual_target needs
+    record_residual, since the residual is what it stops on. lam overrides
+    the policy step for the baselines; when absent, 1/(4L) is used. The
+    residual column is taken at step 1/(4L) (1 when L = 0).
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -161,17 +163,22 @@ class SolverConfig:
     max_oracle_calls: int | None = None
     residual_target: float | None = None
     record_stride: int = 1
-    residual_lam: float | None = None
     record_residual: bool = True
     record_energy: bool = False
     gap_region: object = None
-    est_batch: int = 10_000
     strict: bool = False
+
+
+COLUMNS = ("k", "oracle_calls", "residual", "rel_error", "gap", "H_k",
+           "wall_time_s")
 
 
 @dataclass
 class Trajectory:
-    """Per-iterate records; metric entries are nan when not computed."""
+    """Per-iterate records; the first seven fields are COLUMNS, in order.
+
+    Metric entries are nan when not computed.
+    """
 
     k: np.ndarray
     oracle_calls: np.ndarray
@@ -195,14 +202,17 @@ class RunResult:
     reached_target: bool
 
 
+def _quarter_inverse(L: float) -> float:
+    """The default step 1/(4L), or 1 when L = 0."""
+    return 1.0 / (4.0 * L) if L > 0 else 1.0
+
+
 def _baseline_lam(config: SolverConfig, problem) -> float:
     if config.lam is not None:
         return float(config.lam)
     if config.policy is not None and config.policy.lam is not None:
         return policy_mod.lam_at(config.policy, 1)
-    if problem.lipschitz > 0:
-        return 1.0 / (4.0 * problem.lipschitz)
-    raise ValueError("no step size: set config.lam or a policy with lam")
+    return _quarter_inverse(problem.lipschitz)
 
 
 class _Method(NamedTuple):
@@ -239,9 +249,12 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     spec = _TABLE.get(method)
     if spec is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if (config.max_iters is None and config.max_oracle_calls is None
-            and config.residual_target is None):
+    target = config.residual_target
+    if config.max_iters is None and config.max_oracle_calls is None \
+            and target is None:
         raise ValueError("config sets no stop rule")
+    if target is not None and not config.record_residual:
+        raise ValueError("residual_target needs record_residual")
     if rng is None:
         rng = np.random.default_rng()
 
@@ -257,12 +270,8 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     if spec.params == "policy" and pol is None:
         raise ValueError(f"{method} needs a RegimePolicy")
 
-    eval_seed = int(rng.integers(0, 2**63 - 1))
-    eval_rng = None
-    estimated = problem.oracle.mean is None
-
-    x0 = problem.initial(rng)
-    state = init_state(x0, rng)
+    eval_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+    state = init_state(problem.initial(rng), rng)
 
     def schedule(k):
         return policy_mod.schedule_at(pol, k, problem.lipschitz, mu)
@@ -272,64 +281,50 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         fixed = (0.0, _baseline_lam(config, problem), 1.0)
         params_at = lambda k: fixed
     step, batches, args = globals()[spec.step], spec.batches, spec.args
-    res_lam = config.residual_lam
-    if res_lam is None:
-        res_lam = (1.0 / (4.0 * problem.lipschitz)
-                   if problem.lipschitz > 0 else 1.0)
-
-    rows_k, rows_calls, rows_res, rows_rel = [], [], [], []
-    rows_gap, rows_H, rows_wall = [], [], []
-    points = [] if problem.dim <= 256 else None
-    t0 = time.perf_counter()
+    res_lam = _quarter_inverse(problem.lipschitz)
+    region = config.gap_region
+    gap_live = region is not None and problem.affine_matrix is not None
+    energy_live = (config.record_energy and problem.solution is not None
+                   and pol is not None)
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
 
     def residual_now():
-        nonlocal eval_rng
         if not config.record_residual:
             return np.nan
-        if estimated and eval_rng is None:
-            eval_rng = np.random.default_rng(eval_seed)
-        return merit.residual(problem, state.X, res_lam,
-                              rng=eval_rng, est_batch=config.est_batch)
+        return merit.residual(problem, state.X, res_lam, rng=eval_rng)
+
+    def energy_now():
+        if not energy_live or state.k < 2:
+            return np.nan
+        ak, lk, rk = schedule(state.k)
+        return merit.energy_H(state.X, state.X_prev, problem.solution,
+                              ak, rk, lk, L_tilde, pol.a)
+
+    rows = []
+    points = [] if problem.dim <= 256 else None
+    t0 = time.perf_counter()
 
     def record():
-        rows_k.append(state.k)
-        rows_calls.append(state.oracle_calls)
         r = residual_now()
-        rows_res.append(r)
-        rows_rel.append(problem.rel_error_fn(state.X)
-                        if problem.rel_error_fn is not None else np.nan)
-        if config.gap_region is not None and problem.affine_matrix is not None:
-            rows_gap.append(merit.dual_gap_affine(problem, state.X,
-                                                  config.gap_region))
-        else:
-            rows_gap.append(np.nan)
-        if (config.record_energy and problem.solution is not None
-                and pol is not None and state.k >= 2):
-            ak, lk, rk = schedule(state.k)
-            rows_H.append(merit.energy_H(state.X, state.X_prev,
-                                         problem.solution, ak, rk, lk,
-                                         L_tilde, pol.a))
-        else:
-            rows_H.append(np.nan)
-        rows_wall.append(time.perf_counter() - t0)
+        X = state.X
+        rows.append((
+            state.k, state.oracle_calls, r,
+            problem.rel_error_fn(X) if problem.rel_error_fn is not None
+            else np.nan,
+            merit.dual_gap_affine(problem, X, region) if gap_live else np.nan,
+            energy_now(), time.perf_counter() - t0))
         if points is not None:
-            points.append(state.X.copy())
+            points.append(X.copy())
         return r
 
-    stopped_by = "max_iters"
-    reached = False
-    r0 = record()
-    last_recorded_k = state.k
-    if config.residual_target is not None and not np.isnan(r0) \
-            and r0 <= config.residual_target:
-        reached = True
-        stopped_by = "residual_target"
+    def hit(r):
+        return target is not None and r <= target  # a nan never hits
 
-    while not reached:
+    stopped_by = "max_iters"
+    r = record()
+    while not hit(r):
         k = state.k
         if config.max_iters is not None and k > config.max_iters:
-            stopped_by = "max_iters"
             break
         m_k = batch_size(config.batches, k) if batches else 0
         if (config.max_oracle_calls is not None and state.oracle_calls
@@ -342,37 +337,22 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
             raise NumericFailure(
                 f"{method} at k={k}, m_k={m_k}, "
                 f"||X||={np.linalg.norm(state.X):.6g}: {exc}") from exc
-
-        due = (state.k - 1) % max(1, config.record_stride) == 0
-        if due or config.residual_target is not None:
-            r = record() if due else residual_now()
-            if due:
-                last_recorded_k = state.k
-            if config.residual_target is not None and not np.isnan(r) \
-                    and r <= config.residual_target:
-                reached = True
-                stopped_by = "residual_target"
-
-    if last_recorded_k != state.k:
+        if (state.k - 1) % max(1, config.record_stride) == 0:
+            r = record()
+        elif target is not None:
+            r = residual_now()
+    else:  # the loop ended on hit(r), not on a break
+        stopped_by = "residual_target"
+    if rows[-1][0] != state.k:
         record()
 
-    traj = Trajectory(
-        k=np.array(rows_k, dtype=np.int64),
-        oracle_calls=np.array(rows_calls, dtype=np.int64),
-        residual=np.array(rows_res),
-        rel_error=np.array(rows_rel),
-        gap=np.array(rows_gap),
-        H_k=np.array(rows_H),
-        wall_time_s=np.array(rows_wall),
-        points=points,
-        residual_estimated=estimated,
-    )
     return RunResult(
-        trajectory=traj,
+        trajectory=Trajectory(*map(np.array, zip(*rows)), points=points,
+                              residual_estimated=problem.oracle.mean is None),
         X=state.X.copy(),
         X_bar=state.x_bar(),
         iterations=state.k,
         oracle_calls=state.oracle_calls,
         stopped_by=stopped_by,
-        reached_target=reached,
+        reached_target=stopped_by == "residual_target",
     )

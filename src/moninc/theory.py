@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 from .oracle import BatchSchedule, batch_size
+from .policy import _lambda_strong_tilde, rho_strong
 
 __all__ = [
     "contraction_q",
@@ -28,9 +29,10 @@ def contraction_q(a: float, b: float, lam: float, mu: float,
                   alpha_bar: float, L_tilde: float) -> float:
     """Contraction factor q = 1 - rho*eta of the expected energy recursion.
 
-    rho is the floor relaxation 16(3-a)(1-abar)^2 / (31(1+Ltilde*lam)) and
-    eta = (1-b)*lam*mu. Arguments must lie in the strongly monotone regime
-    ranges, with lam at most min{a/(2 mu), b mu, (1-a)/(2 Ltilde)}.
+    rho is the floor relaxation 16(3-a)(1-abar)^2 / (31(1+Ltilde*lam))
+    (policy.rho_strong with floor=True) and eta = (1-b)*lam*mu. Arguments
+    must lie in the strongly monotone regime ranges, with lam at most
+    lambda_strong = min{a/(2 mu), b mu, (1-a)/(2 Ltilde)}.
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ValueError("a and b must lie in (0,1)")
@@ -38,12 +40,11 @@ def contraction_q(a: float, b: float, lam: float, mu: float,
         raise ValueError("lam, mu, L_tilde must be positive")
     if not (0.0 <= alpha_bar < 1.0):
         raise ValueError("alpha_bar must lie in [0,1)")
-    lam_max = min(a / (2.0 * mu), b * mu, (1.0 - a) / (2.0 * L_tilde))
+    lam_max = _lambda_strong_tilde(mu, L_tilde, a, b)
     if lam > lam_max * (1.0 + 1e-12):
         raise ValueError(
             f"lam={lam:g} exceeds the admissible step {lam_max:g}")
-    rho = 16.0 * (3.0 - a) * (1.0 - alpha_bar) ** 2 \
-        / (31.0 * (1.0 + L_tilde * lam))
+    rho = rho_strong(alpha_bar, lam, L_tilde, a, floor=True)
     eta = (1.0 - b) * lam * mu
     return 1.0 - rho * eta
 
@@ -52,11 +53,12 @@ def noise_envelope_B(s: float, a: float, lam: float, L_tilde: float) -> float:
     """Noise constant B = 2 rho_bar s^2 (1 + 2(3-a)lam^2/(1+Ltilde lam)).
 
     s is the oracle's variance bound (sup over the feasible set of the
-    standard deviation of one draw); rho_bar = (3-a)/(2(1+Ltilde lam)).
+    standard deviation of one draw); rho_bar = (3-a)/(2(1+Ltilde lam)) is
+    policy.rho_strong at alpha_k = 0.
     """
     if s < 0 or lam <= 0 or L_tilde <= 0 or not 0.0 < a < 1.0:
         raise ValueError("need s >= 0, lam > 0, L_tilde > 0, a in (0,1)")
-    rho_bar = (3.0 - a) / (2.0 * (1.0 + L_tilde * lam))
+    rho_bar = rho_strong(0.0, lam, L_tilde, a)
     return 2.0 * rho_bar * s * s * (1.0 + 2.0 * (3.0 - a) * lam * lam
                                     / (1.0 + L_tilde * lam))
 

@@ -256,9 +256,10 @@ def _cournot_mean_residual(prob, method, cfg):
     return float(np.mean(finals))
 
 
-def _cournot_cfg(res_lam, **kw):
+def _cournot_cfg(**kw):
+    # the residual column is taken at run()'s step 1/(4L)
     base = dict(max_oracle_calls=20000, max_iters=10**9,
-                record_stride=10**9, residual_lam=res_lam)
+                record_stride=10**9)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -271,11 +272,11 @@ def test_criterion_07a_capacity_game_monotone():
     pol = RegimePolicy(regime="monotone_gap", alpha=0.1, lam=lam,
                        alpha_mode="increasing")
     r_ri = _cournot_mean_residual(
-        prob, "risfbf", _cournot_cfg(lam, policy=pol, batches=batches))
+        prob, "risfbf", _cournot_cfg(policy=pol, batches=batches))
     r_sf = _cournot_mean_residual(
-        prob, "sfbf", _cournot_cfg(lam, lam=lam, batches=batches))
+        prob, "sfbf", _cournot_cfg(lam=lam, batches=batches))
     r_sa = _cournot_mean_residual(
-        prob, "sa", _cournot_cfg(lam, batches=BatchSchedule.constant(1)))
+        prob, "sa", _cournot_cfg(batches=BatchSchedule.constant(1)))
     elapsed = time.perf_counter() - t0
     bound = 10.0 * 2.7e-4
     ok = (r_ri < r_sf < r_sa) and r_ri <= bound and elapsed < 180.0
@@ -294,11 +295,11 @@ def test_criterion_07b_capacity_game_strongly_monotone():
     batches = BatchSchedule.geometric(1.0 / 1.01)
     pol = RegimePolicy(regime="custom", alpha=0.1, lam=lam, rho=1.0)
     r_ri = _cournot_mean_residual(
-        prob, "risfbf", _cournot_cfg(lam, policy=pol, batches=batches))
+        prob, "risfbf", _cournot_cfg(policy=pol, batches=batches))
     r_sf = _cournot_mean_residual(
-        prob, "sfbf", _cournot_cfg(lam, lam=lam, batches=batches))
+        prob, "sfbf", _cournot_cfg(lam=lam, batches=batches))
     r_sa = _cournot_mean_residual(
-        prob, "sa", _cournot_cfg(lam, batches=BatchSchedule.constant(1)))
+        prob, "sa", _cournot_cfg(batches=BatchSchedule.constant(1)))
     elapsed = time.perf_counter() - t0
     bound = 10.0 * 3.7e-6
     ok = (r_ri < r_sf < r_sa) and r_ri <= bound and elapsed < 180.0

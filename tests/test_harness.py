@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import os
 import subprocess
@@ -10,12 +11,14 @@ import pytest
 import moninc.cli as cli
 import moninc.harness as harness
 import moninc.problems as problems
+import moninc.solvers as solvers
+import moninc.theory as theory
 from moninc.core import NumericFailure
 from moninc.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                             compare, confidence_interval, load_config,
                             run_experiment)
 from moninc.oracle import BatchSchedule
-from moninc.policy import PolicyViolation
+from moninc.policy import PolicyViolation, alpha_at
 
 SYNTHETIC_PROBLEM = ("kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
                      "sigma = 0.2\nseed = 3")
@@ -409,6 +412,34 @@ REDUCTION_B = REDUCTION_A.replace(
     "method = sfbf\nlam = 0.1")
 
 
+class TestOneRowFormat:
+    def test_csv_columns_are_the_trajectory_columns(self):
+        assert harness.CSV_COLUMNS is solvers.COLUMNS
+        names = tuple(f.name for f in dataclasses.fields(solvers.Trajectory))
+        assert names[:len(solvers.COLUMNS)] == solvers.COLUMNS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_rep_rows_are_the_last_rep_rows(self, tmp_path,
+                                                    monkeypatch, workers):
+        real_run = harness.run
+
+        def fail_rep_1(problem, method, cfg, rng=None):
+            if rng.bit_generator.seed_seq.entropy == [9, 1]:
+                raise NumericFailure("non-finite iterate")
+            return real_run(problem, method, cfg, rng=rng)
+
+        monkeypatch.setattr(harness, "run", fail_rep_1)
+        run_experiment(_load(tmp_path, workers=workers))
+        out = tmp_path / "out"
+        summary = _read_csv(out / "summary.csv")
+        assert tuple(summary[0]) == ("rep",) + CSV_COLUMNS
+        rep_rows = [row for row in summary[1:] if row[0].isdigit()]
+        assert [row[0] for row in rep_rows] == ["0", "2"]
+        for row in rep_rows:
+            assert row[1:] == _read_csv(out / f"rep_{row[0]}.csv")[-1]
+        assert not (out / "rep_1.csv").exists()
+
+
 class TestCompare:
     def test_rejects_mismatched_problems(self, tmp_path):
         a = _load(tmp_path, BASE_INI, name="a.ini",
@@ -431,18 +462,18 @@ class TestCompare:
                                             "seed = 0\nbox_upper = 10"),
                   name="b.ini", out_dir=str(tmp_path / "b"))
         assert a.problem != b.problem
-        table = compare([a, b])
-        assert table[0]["residual"] == table[1]["residual"]
+        reports = compare([a, b])
+        assert reports[0].means["residual"] == reports[1].means["residual"]
 
     def test_degenerate_parameters_reproduce_the_plain_method(self, tmp_path):
         a = _load(tmp_path, REDUCTION_A, name="a.ini",
                   out_dir=str(tmp_path / "a"))
         b = _load(tmp_path, REDUCTION_B, name="b.ini",
                   out_dir=str(tmp_path / "b"))
-        table = compare([a, b])
-        assert [row["method"] for row in table] == ["risfbf", "sfbf"]
-        assert table[0]["residual"] == table[1]["residual"]
-        assert table[0]["rel_error"] == table[1]["rel_error"]
+        reports = compare([a, b])
+        assert [r.method for r in reports] == ["risfbf", "sfbf"]
+        assert reports[0].means["residual"] == reports[1].means["residual"]
+        assert reports[0].means["rel_error"] == reports[1].means["rel_error"]
 
     def test_rejects_shared_out_dir_before_running(self, tmp_path):
         shared = str(tmp_path / "shared")
@@ -536,6 +567,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "contraction q=" in out
         assert "oracle_cost=" in out
+
+    def test_bounds_takes_alpha_1_from_the_inertia_schedule(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        text = BASE_INI.replace(
+            "batch_kind = constant\nbatch_m = 2",
+            "batch_kind = geometric\nbatch_p = 0.97").replace(
+            "alpha = 0.1", "alpha = 0.1\nalpha_mode = increasing")
+        path = _write(tmp_path, text)
+        real = theory.geometric_constant
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(theory, "geometric_constant", spy)
+        assert cli.main(["bounds", path]) == 0
+        p, q, dist1_sq, alpha1, alpha_bar, B, p_hat = seen[0]
+        policy = load_config(path).build_policy()
+        assert alpha1 == alpha_at(policy, 1) == 0.05  # alpha_0 (1 - 1/2)
+        want = real(p, q, dist1_sq, alpha_at(policy, 1), alpha_bar, B, p_hat)
+        assert f"C={want:.6g}" in capsys.readouterr().out
 
     def test_bounds_reads_the_step_of_the_regime(self, tmp_path, capsys):
         # asymptotic has no default step, so bounds fails as run does

@@ -137,6 +137,101 @@ class TestDualGap:
             GapRegion(np.zeros(2), 0.0)
 
 
+M_MONOTONE = np.array([[1.0, 0.3], [-0.3, 1.0]])
+M_SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _grid(inside):
+    """The points of a 401^2 grid of [-3, 3]^2 where inside(P) holds."""
+    ts = np.linspace(-3.0, 3.0, 401)
+    P = np.stack(np.meshgrid(ts, ts), axis=-1).reshape(-1, 2)
+    return P[inside(P)]
+
+
+def _grid_gap(M, c, x, inside):
+    """max of <M p + c, x - p> over the grid points inside C."""
+    P = _grid(inside)
+    return float(np.einsum("ij,ij->i", P @ M.T + c, x - P).max())
+
+
+def _in_ball(P, center, radius):
+    return np.linalg.norm(P - center, axis=1) <= radius
+
+
+def _in_box(P, box):
+    return np.all((P >= box.lower) & (P <= box.upper), axis=1)
+
+
+class TestGapRegionShapes:
+    """Each shape C can take, its gap checked against a 2-D grid search."""
+
+    BOX = BoxSet(np.array([-1.0, -0.5]), np.array([1.0, 1.5]))
+
+    def _cases(self):
+        box = self.BOX
+        small = BallSet(np.array([0.2, 0.1]), 0.6)
+        big = BallSet(np.array([0.1, 0.0]), 2.5)
+        anchor = np.array([0.1, 0.2])
+        return {
+            "ball inside box": (GapRegion(anchor, 0.5, geometry=box),
+                                "ball"),
+            "box inside ball": (GapRegion(anchor, 2.0, geometry=box),
+                                "geometry"),
+            "geometry ball inside gap ball": (
+                GapRegion(anchor, 1.5, geometry=small), "geometry"),
+            "gap ball inside geometry ball": (
+                GapRegion(anchor, 1.0, geometry=big), "ball"),
+            "strict box and ball": (
+                GapRegion(np.array([1.0, 1.5]), 1.2, geometry=box), None),
+        }
+
+    def _inside(self, region):
+        def inside(P):
+            keep = _in_ball(P, region.anchor, region.radius)
+            geo = region.geometry
+            if isinstance(geo, BoxSet):
+                keep &= _in_box(P, geo)
+            elif geo is not None:
+                keep &= _in_ball(P, geo.center, geo.radius)
+            return keep
+        return inside
+
+    @pytest.mark.parametrize("name", [
+        "ball inside box", "box inside ball", "geometry ball inside gap ball",
+        "gap ball inside geometry ball", "strict box and ball"])
+    def test_single_set_and_gap_match_grid_search(self, name):
+        region, single = self._cases()[name]
+        want = {"ball": region.ball, "geometry": region.geometry,
+                None: None}[single]
+        assert region.single is want
+        c = np.array([0.2, -0.1])
+        matrices = [M_MONOTONE] if single is None else [M_MONOTONE, M_SKEW]
+        for M in matrices:
+            prob = _affine_problem(M, c)
+            for x in (np.array([0.4, 0.3]), np.array([-1.5, 2.0])):
+                val = dual_gap_affine(prob, x, region)
+                grid = _grid_gap(M, c, x, self._inside(region))
+                if region.contains(x):
+                    grid = max(grid, 0.0)
+                assert grid - 1e-9 <= val <= grid + 5e-2, (name, M, x)
+
+    def test_strict_intersection_projects_by_dykstra(self):
+        region, _ = self._cases()["strict box and ball"]
+        P = _grid(self._inside(region))
+        for z in np.random.default_rng(0).uniform(-3.0, 3.0, (20, 2)):
+            p = region.project(z)
+            assert region.contains(p, tol=1e-9)
+            # no grid point of C is closer to z than its projection
+            assert np.linalg.norm(z - p) \
+                <= np.linalg.norm(P - z, axis=1).min() + 1e-9
+
+    def test_geometry_dimension_checked_at_construction(self):
+        with pytest.raises(ValueError, match="dimension"):
+            GapRegion(np.zeros(3), 1.0, geometry=self.BOX)
+        with pytest.raises(ValueError, match="dimension"):
+            GapRegion(np.zeros(3), 1.0, geometry=BallSet(np.zeros(2), 1.0))
+
+
 class TestEnergies:
     def test_linear_energy_hand_value(self):
         got = energy_H(np.array([1.0]), np.array([0.0]), np.array([0.0]),

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ import pytest
 
 import moninc.solvers as solvers
 from moninc.core import BoxResolvent, BoxSet, NumericFailure
+from moninc.merit import GapRegion, dual_gap_affine
 from moninc.oracle import BatchSchedule, StochasticOracle, batch_size
 from moninc.policy import PolicyViolation, RegimePolicy, schedule_at
 from moninc.problems import cournot_build, synthetic_build
@@ -238,6 +240,38 @@ class TestRun:
         from moninc.merit import residual as fp_residual
         assert fp_residual(prob, out.X, 0.1) <= 1e-5
 
+    def test_residual_target_needs_the_residual_recorded(self):
+        # the stop rule reads the residual column; without it nothing stops
+        prob = _noisy_problem()
+        cfg = SolverConfig(policy=self._policy(), residual_target=1e-3,
+                           record_residual=False, max_iters=50)
+        with pytest.raises(ValueError, match="record_residual"):
+            run(prob, "risfbf", cfg, np.random.default_rng(0))
+
+    def test_gap_column_is_the_dual_gap_at_each_recorded_point(self):
+        prob = synthetic_build(dim=6, mu=0.0, skew_norm=1.0, sigma=0.3,
+                               seed=2)
+        region = GapRegion(np.zeros(6), 3.0, geometry=prob.feasible)
+        pol = RegimePolicy(regime="monotone_gap", alpha=0.1,
+                           lam=0.25 / prob.lipschitz)
+        cfg = SolverConfig(policy=pol, max_iters=12, record_stride=5,
+                           gap_region=region)
+        traj = run(prob, "risfbf", cfg, np.random.default_rng(4)).trajectory
+        assert list(traj.k) == [1, 6, 11, 13]
+        assert list(traj.gap) == [dual_gap_affine(prob, x, region)
+                                  for x in traj.points]
+        assert np.all(np.isfinite(traj.gap))
+        # nan without a region, and without an affine mean
+        no_region = dataclasses.replace(cfg, gap_region=None)
+        assert np.all(np.isnan(run(prob, "risfbf", no_region,
+                                   np.random.default_rng(4)).trajectory.gap))
+        cournot = cournot_build(100)
+        box_region = GapRegion(np.zeros(cournot.dim), 1.0)
+        out = run(cournot, "sfbf", SolverConfig(max_iters=5,
+                                                 gap_region=box_region),
+                  np.random.default_rng(4))
+        assert np.all(np.isnan(out.trajectory.gap))
+
     def test_baseline_step_default_is_quarter_inverse_lipschitz(self):
         prob = _noisy_problem()
         cfg = SolverConfig(max_iters=30)
@@ -264,12 +298,11 @@ class TestRun:
 
     def test_estimated_residual_flag_and_side_stream(self):
         prob = _noisy_problem()
-        import dataclasses
         blind = SimpleNamespace(mean=None, batch=prob.oracle.batch,
                                 sample=prob.oracle.sample,
                                 variance_bound=prob.oracle.variance_bound)
         masked = dataclasses.replace(prob, oracle=blind)
-        cfg = SolverConfig(policy=self._policy(), max_iters=20, est_batch=500)
+        cfg = SolverConfig(policy=self._policy(), max_iters=20)
         out = run(masked, "risfbf", cfg, np.random.default_rng(9))
         assert out.trajectory.residual_estimated
         exact = run(prob, "risfbf",

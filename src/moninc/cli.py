@@ -34,9 +34,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Stochastic splitting solvers for monotone inclusions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=None,
                        help="override the global seed")
+
+    def add_common(p):
+        add_seed(p)
         p.add_argument("--replications", type=int, default=None,
                        help="override the replication count")
         p.add_argument("--out-dir", type=str, default=None,
@@ -57,21 +60,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds",
                               help="print theoretical rate envelopes")
     p_bounds.add_argument("config")
-    add_common(p_bounds)
+    add_seed(p_bounds)
 
     p_var = sub.add_parser("variance", help="oracle variance sweep")
     p_var.add_argument("config")
     p_var.add_argument("--repeats", type=int, default=200)
-    add_common(p_var)
+    add_seed(p_var)
     return parser
 
 
 def _overrides(args) -> dict:
-    out = {"seed": args.seed, "replications": args.replications,
-           "out_dir": args.out_dir, "workers": args.workers}
-    if args.strict:
-        out["strict"] = True
-    return out
+    # no INI key sets strict, so the flag's False is the file's value too
+    return {"seed": args.seed, "replications": args.replications,
+            "out_dir": args.out_dir, "workers": args.workers,
+            "strict": args.strict}
 
 
 def _fmt(v) -> str:
@@ -132,7 +134,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, {"seed": args.seed})
     problem = cfg.build_problem()
     policy = cfg.build_policy()
     if policy is None:
@@ -184,7 +186,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, {"seed": args.seed})
     problem = cfg.build_problem()
     if problem.oracle.mean is None:
         raise ConfigError("variance sweep needs an oracle with exact mean")

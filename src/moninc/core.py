@@ -114,9 +114,6 @@ class ResolventMap:
     def apply(self, x: np.ndarray, lam: float) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, x: np.ndarray, lam: float) -> np.ndarray:
-        return self.apply(x, lam)
-
 
 class BoxResolvent(ResolventMap):
     """Resolvent of the normal cone of a box: projection, independent of lam."""

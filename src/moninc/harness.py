@@ -275,8 +275,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     try:
         cfg._builder_call()
-        cfg.build_batches()
-    except ValueError as exc:  # ConfigError, or a BatchSchedule range check
+        cfg.build_solver_config()
+    except ValueError as exc:  # ConfigError, or a policy or batch range check
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
 

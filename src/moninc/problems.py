@@ -61,7 +61,6 @@ class ProblemInstance:
     affine_matrix: np.ndarray | None = None
     affine_shift: np.ndarray | None = None
     initial_point: object = None
-    name: str = ""
     detail: object = None
 
     def initial(self, rng) -> np.ndarray:
@@ -179,7 +178,6 @@ def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
         strong_monotonicity=float(np.min(b_hat) + r),
         feasible=box,
         initial_point=lambda rng_: rng_.uniform(0.0, 1.0, n_firms),
-        name=f"cournot(L={L_V_target:g})",
         detail=inst,
     )
 
@@ -373,7 +371,6 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
         affine_matrix=M,
         affine_shift=c,
         initial_point=np.zeros(total),
-        name="cap",
         detail=inst,
     )
 
@@ -519,6 +516,5 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
         affine_matrix=M,
         affine_shift=c,
         initial_point=np.zeros(d),
-        name=f"synthetic(d={d},mu={mu:g})",
         detail=inst,
     )

@@ -21,6 +21,7 @@ bitwise reproducible given (seed, config, problem).
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -151,9 +152,12 @@ class SolverConfig:
 
     Exactly the stop rules that are set apply (at least one of max_iters,
     max_oracle_calls, residual_target is required); residual_target needs
-    record_residual, since the residual is what it stops on. lam overrides
-    the policy step for the baselines; when absent, 1/(4L) is used. The
-    residual column is taken at step 1/(4L) (1 when L = 0).
+    record_residual, since the residual is what it stops on. The baselines
+    step with lam, else the policy's lam_1, else 1/(4L). The residual
+    column is taken at step 1/(4L) (1 when L = 0). Rows are recorded every
+    record_stride >= 1 iterations; H_k (record_energy) needs a known
+    solution, a policy for its constant a, and a method with parameters,
+    which sa lacks.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -175,9 +179,10 @@ COLUMNS = ("k", "oracle_calls", "residual", "rel_error", "gap", "H_k",
 
 @dataclass
 class Trajectory:
-    """Per-iterate records; the first seven fields are COLUMNS, in order.
+    """Per-iterate records: one array per column of COLUMNS, in order.
 
-    Metric entries are nan when not computed.
+    Metric entries are nan when not computed. residual_estimated is set
+    when the residuals are mini-batch estimates (the oracle has no mean).
     """
 
     k: np.ndarray
@@ -187,7 +192,6 @@ class Trajectory:
     gap: np.ndarray
     H_k: np.ndarray
     wall_time_s: np.ndarray
-    points: list | None
     residual_estimated: bool = False
 
 
@@ -239,12 +243,15 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     """Drive `method` on `problem` until a stop rule fires.
 
     The starting point comes from the problem (its sampler consumes the
-    stream first). Trajectory rows hold the iterate X_k indexed from k=1
-    (the initial point) at the configured stride, plus the final iterate.
-    If the oracle lacks an exact mean, residuals are mini-batch estimates
-    drawn from a side stream seeded from the main one at start; the
-    trajectory is flagged accordingly. A NumericFailure raised by a step
-    is raised again with the method, k, m_k and ||X_k|| in its message.
+    stream first). One trajectory row describes the iterate X_k, from k=1
+    (the initial point) at the configured stride, plus the final iterate;
+    the iterates themselves are not kept. H_k is taken at the parameters
+    of the step from X_k, and a run that residual_target stops records the
+    residual that met it. If the oracle lacks an exact mean, residuals are
+    mini-batch estimates drawn from a side stream seeded from the main one
+    at start; the trajectory is flagged accordingly. A NumericFailure
+    raised by a step is raised again with the method, k, m_k and ||X_k||
+    in its message.
     """
     spec = _TABLE.get(method)
     if spec is None:
@@ -255,6 +262,8 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         raise ValueError("config sets no stop rule")
     if target is not None and not config.record_residual:
         raise ValueError("residual_target needs record_residual")
+    if config.record_stride < 1:
+        raise ValueError("record_stride must be at least 1")
     if rng is None:
         rng = np.random.default_rng()
 
@@ -273,19 +282,19 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     eval_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
     state = init_state(problem.initial(rng), rng)
 
-    def schedule(k):
-        return policy_mod.schedule_at(pol, k, problem.lipschitz, mu)
-
-    params_at = schedule
     if spec.params == "baseline":
         fixed = (0.0, _baseline_lam(config, problem), 1.0)
         params_at = lambda k: fixed
+    else:
+        # the step from X_k and the H_k row of X_k share one evaluation
+        params_at = functools.lru_cache(maxsize=1)(
+            lambda k: policy_mod.schedule_at(pol, k, problem.lipschitz, mu))
     step, batches, args = globals()[spec.step], spec.batches, spec.args
     res_lam = _quarter_inverse(problem.lipschitz)
     region = config.gap_region
     gap_live = region is not None and problem.affine_matrix is not None
-    energy_live = (config.record_energy and problem.solution is not None
-                   and pol is not None)
+    energy_live = (config.record_energy and spec.params is not None
+                   and problem.solution is not None and pol is not None)
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
 
     def residual_now():
@@ -296,16 +305,14 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     def energy_now():
         if not energy_live or state.k < 2:
             return np.nan
-        ak, lk, rk = schedule(state.k)
+        ak, lk, rk = params_at(state.k)
         return merit.energy_H(state.X, state.X_prev, problem.solution,
                               ak, rk, lk, L_tilde, pol.a)
 
     rows = []
-    points = [] if problem.dim <= 256 else None
     t0 = time.perf_counter()
 
-    def record():
-        r = residual_now()
+    def record(r):
         X = state.X
         rows.append((
             state.k, state.oracle_calls, r,
@@ -313,16 +320,11 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
             else np.nan,
             merit.dual_gap_affine(problem, X, region) if gap_live else np.nan,
             energy_now(), time.perf_counter() - t0))
-        if points is not None:
-            points.append(X.copy())
-        return r
-
-    def hit(r):
-        return target is not None and r <= target  # a nan never hits
 
     stopped_by = "max_iters"
-    r = record()
-    while not hit(r):
+    r = residual_now()
+    record(r)
+    while target is None or not r <= target:  # a nan never meets a target
         k = state.k
         if config.max_iters is not None and k > config.max_iters:
             break
@@ -337,17 +339,19 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
             raise NumericFailure(
                 f"{method} at k={k}, m_k={m_k}, "
                 f"||X||={np.linalg.norm(state.X):.6g}: {exc}") from exc
-        if (state.k - 1) % max(1, config.record_stride) == 0:
-            r = record()
-        elif target is not None:
+        on_row = (state.k - 1) % config.record_stride == 0
+        if on_row or target is not None:
             r = residual_now()
-    else:  # the loop ended on hit(r), not on a break
+        if on_row:
+            record(r)
+    else:  # the loop ended on the target, not on a break
         stopped_by = "residual_target"
     if rows[-1][0] != state.k:
-        record()
+        # with a target, r is always the residual of the current iterate
+        record(r if target is not None else residual_now())
 
     return RunResult(
-        trajectory=Trajectory(*map(np.array, zip(*rows)), points=points,
+        trajectory=Trajectory(*map(np.array, zip(*rows)),
                               residual_estimated=problem.oracle.mean is None),
         X=state.X.copy(),
         X_bar=state.x_bar(),

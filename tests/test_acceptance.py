@@ -25,6 +25,7 @@ from moninc.solvers import (SolverConfig, init_state, risfbf_step, run,
                             sfbf_step)
 from moninc.theory import (contraction_q, geometric_constant,
                            noise_envelope_B, tau_eps)
+from capture import run_with_points
 from reference_core import BallResolvent, resolvent_product
 from reference_formulas import energy_Q
 from reference_oracles import NoiseModel, build_oracle
@@ -37,10 +38,10 @@ def _report(tag, ok, detail):
     print(f"[{tag}] {detail} -> {'PASS' if ok else 'FAIL'}")
 
 
-def _mean_dist_sq(results, solution):
+def _mean_dist_sq(point_lists, solution):
     """Per-k mean of ||X_k - solution||^2 across replications."""
-    stacked = np.array([[float(np.sum((x - solution) ** 2))
-                         for x in r.trajectory.points] for r in results])
+    stacked = np.array([[float(np.sum((x - solution) ** 2)) for x in points]
+                        for points in point_lists])
     return stacked.mean(axis=0)
 
 
@@ -75,14 +76,15 @@ def test_criterion_02_reductions():
     prob = synthetic_build(dim=20, mu=1.0, skew_norm=1.0, sigma=0.5, seed=3)
     pol = RegimePolicy(regime="custom", alpha=0.0, lam=0.1, rho=1.0)
     shared = dict(batches=BatchSchedule.constant(4), max_iters=50)
-    a = run(prob, "risfbf", SolverConfig(policy=pol, **shared),
-            np.random.default_rng(5))
-    b = run(prob, "sfbf", SolverConfig(lam=0.1, **shared),
-            np.random.default_rng(5))
+    a, a_points = run_with_points(prob, "risfbf",
+                                  SolverConfig(policy=pol, **shared),
+                                  np.random.default_rng(5))
+    b, b_points = run_with_points(prob, "sfbf",
+                                  SolverConfig(lam=0.1, **shared),
+                                  np.random.default_rng(5))
     bitwise = (np.array_equal(a.X, b.X)
                and all(np.array_equal(x, y)
-                       for x, y in zip(a.trajectory.points,
-                                       b.trajectory.points)))
+                       for x, y in zip(a_points, b_points)))
 
     # vanishing operator: compare against a direct relaxed inertial
     # proximal recursion written out here, not the library's own step
@@ -152,14 +154,16 @@ def c4_runs():
                        max_iters=500, record_stride=1,
                        record_residual=False, record_energy=True)
     t0 = time.perf_counter()
-    results = [run(prob, "risfbf", cfg, np.random.default_rng([31, rep]))
-               for rep in range(REPS)]
-    return prob, results, time.perf_counter() - t0
+    runs = [run_with_points(prob, "risfbf", cfg,
+                            np.random.default_rng([31, rep]))
+            for rep in range(REPS)]
+    results, point_lists = map(list, zip(*runs))
+    return prob, results, point_lists, time.perf_counter() - t0
 
 
 def test_criterion_04_linear_rate_envelope(c4_runs):
-    prob, results, elapsed = c4_runs
-    md = _mean_dist_sq(results, prob.solution)
+    prob, _, point_lists, elapsed = c4_runs
+    md = _mean_dist_sq(point_lists, prob.solution)
 
     ks = np.arange(20, 201)                     # iterate indices k
     slope = float(np.polyfit(ks, np.log(md[ks - 1]), 1)[0])
@@ -194,9 +198,10 @@ def test_criterion_05_biased_oracle_still_linear():
                        batches=BatchSchedule.geometric(C4_P),
                        max_iters=700, record_stride=1,
                        record_residual=False)
-    results = [run(prob, "risfbf", cfg, np.random.default_rng([37, rep]))
-               for rep in range(REPS)]
-    md = _mean_dist_sq(results, prob.solution)
+    point_lists = [run_with_points(prob, "risfbf", cfg,
+                                   np.random.default_rng([37, rep]))[1]
+                   for rep in range(REPS)]
+    md = _mean_dist_sq(point_lists, prob.solution)
     ks = np.arange(20, 201)
     slope = float(np.polyfit(ks, np.log(md[ks - 1]), 1)[0])
     final = float(md[-1])
@@ -372,12 +377,12 @@ def test_criterion_08_group_lasso_table():
 # ----------------------------------------------------------------------
 
 def test_criterion_09_energy_bounds(c4_runs):
-    prob, results, _ = c4_runs
+    prob, results, point_lists, _ = c4_runs
     # linear-rate energy dominates (1-abar)/2 dist^2 on every recorded row
     worst_h = np.inf
-    for r in results:
+    for r, points in zip(results, point_lists):
         H = r.trajectory.H_k
-        for i, x in enumerate(r.trajectory.points):
+        for i, x in enumerate(points):
             if np.isnan(H[i]):
                 continue
             d2 = float(np.sum((x - prob.solution) ** 2))
@@ -392,8 +397,8 @@ def test_criterion_09_energy_bounds(c4_runs):
                        batches=BatchSchedule.geometric(1.0 / 1.02),
                        max_iters=300, record_stride=1,
                        record_residual=False)
-    out = run(prob2, "risfbf", cfg, np.random.default_rng([51, 0]))
-    pts = out.trajectory.points
+    out, pts = run_with_points(prob2, "risfbf", cfg,
+                               np.random.default_rng([51, 0]))
     anchor = out.X_bar
     worst_q = np.inf
     for i in range(1, len(pts)):

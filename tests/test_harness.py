@@ -95,6 +95,9 @@ class TestLoadConfig:
         lambda t: t.replace(SYNTHETIC_PROBLEM, "kind = cournot\nseed = 3"),
         lambda t: t.replace("batch_m = 2", "batch_m = 0"),
         lambda t: t.replace("regime = strongly_monotone\n", ""),
+        lambda t: t.replace("regime = strongly_monotone", "regime = custum"),
+        lambda t: t.replace("alpha = 0.1", "alpha = 1.5"),
+        lambda t: t.replace("alpha = 0.1", "alpha = 0.1\nalpha_mode = rising"),
     ])
     def test_rejects_malformed_configs(self, tmp_path, mutate):
         with pytest.raises(ConfigError):
@@ -417,6 +420,7 @@ class TestOneRowFormat:
         assert harness.CSV_COLUMNS is solvers.COLUMNS
         names = tuple(f.name for f in dataclasses.fields(solvers.Trajectory))
         assert names[:len(solvers.COLUMNS)] == solvers.COLUMNS
+        assert names == solvers.COLUMNS + ("residual_estimated",)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_summary_rep_rows_are_the_last_rep_rows(self, tmp_path,
@@ -543,6 +547,16 @@ class TestCli:
         assert cli.main(["compare", a, b]) == 1
         assert "'a' and 'b' both write to 'out'" in capsys.readouterr().err
 
+    def test_compare_with_a_bad_config_runs_nothing(self, tmp_path, capsys):
+        a = _write(tmp_path, REDUCTION_A, name="a.ini")
+        bad = _write(tmp_path, REDUCTION_A.replace(
+            "regime = custom", "regime = custum"), name="bad.ini")
+        out = tmp_path / "out"
+        assert cli.main(["compare", a, bad, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad.ini" in err and "unknown regime 'custum'" in err
+        assert not out.exists()
+
     def test_compare_prints_failure_reasons(self, tmp_path, capsys,
                                             monkeypatch):
         def boom(problem, method, cfg, rng=None):
@@ -567,6 +581,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "contraction q=" in out
         assert "oracle_cost=" in out
+
+    @pytest.mark.parametrize("batches, line", [
+        ("batch_kind = polynomial\nbatch_theta = 1.5",
+         "polynomial sampling theta=1.5: c="),
+        ("batch_kind = constant\nbatch_m = 2", "constant batches:")])
+    def test_bounds_envelope_follows_the_batch_schedule(self, tmp_path,
+                                                        capsys, batches,
+                                                        line):
+        path = _write(tmp_path, BASE_INI.replace(
+            "batch_kind = constant\nbatch_m = 2", batches))
+        assert cli.main(["bounds", path]) == 0
+        assert line in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--workers", "2"], ["bounds", "--replications", "7"],
+        ["variance", "--out-dir", "x"], ["variance", "--strict"]])
+    def test_bounds_and_variance_take_only_their_own_flags(self, tmp_path,
+                                                           capsys, argv):
+        path = _write(tmp_path, BASE_INI)
+        with pytest.raises(SystemExit) as info:
+            cli.main([argv[0], path, *argv[1:]])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bounds_takes_alpha_1_from_the_inertia_schedule(self, tmp_path,
                                                             capsys,

@@ -6,14 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import moninc.merit as merit
 import moninc.solvers as solvers
 from moninc.core import BoxResolvent, BoxSet, NumericFailure
-from moninc.merit import GapRegion, dual_gap_affine
+from moninc.merit import GapRegion, dual_gap_affine, energy_H
 from moninc.oracle import BatchSchedule, StochasticOracle, batch_size
-from moninc.policy import PolicyViolation, RegimePolicy, schedule_at
+from moninc.policy import (PolicyViolation, RegimePolicy, lipschitz_tilde,
+                           schedule_at)
 from moninc.problems import cournot_build, synthetic_build
 from moninc.solvers import (METHODS, SolverConfig, init_state, proxpoint_step,
                             risfbf_step, run, sa_step, seg_step, sfbf_step)
+from capture import run_with_points
 from reference_oracles import NoiseModel, build_oracle
 from reference_steps import risfbf_step_fixedpoint_form
 
@@ -119,6 +122,16 @@ class TestSteps:
         np.testing.assert_array_equal(log[0], Z)
         np.testing.assert_array_equal(log[1], Y)
 
+    def test_proxpoint_at_full_relaxation_is_the_resolvent(self):
+        prob = _zero_problem()
+        x0 = np.array([2.0, -2.0, 0.5, 0.3, -0.1, 1.5])
+        s = init_state(x0, np.random.default_rng(0))
+        s.X_prev = np.zeros(6)
+        proxpoint_step(s, prob, 0.5, 0.2, 1.0)
+        # X_2 = J(Z) with Z = X + 0.5 (X - X_prev); the box clips Z
+        np.testing.assert_array_equal(s.X, np.clip(1.5 * x0, -1.0, 1.0))
+        np.testing.assert_array_equal(s.x_bar(), s.X)
+
     def test_averaged_point_is_relaxation_weighted(self):
         prob = _noisy_problem(sigma=0.0)
         V = prob.oracle.mean
@@ -209,12 +222,12 @@ class TestRun:
         prob = _noisy_problem()
         cfg = SolverConfig(policy=self._policy(), max_iters=25,
                            record_stride=10)
-        out = run(prob, "risfbf", cfg, np.random.default_rng(0))
+        out, points = run_with_points(prob, "risfbf", cfg,
+                                      np.random.default_rng(0))
         assert out.stopped_by == "max_iters"
         assert out.iterations == 26            # 1-indexed final iterate
         assert list(out.trajectory.k) == [1, 11, 21, 26]
-        assert out.trajectory.points is not None
-        np.testing.assert_array_equal(out.trajectory.points[-1], out.X)
+        np.testing.assert_array_equal(points[-1], out.X)
 
     def test_oracle_budget_never_overspent(self):
         prob = _noisy_problem()
@@ -256,10 +269,12 @@ class TestRun:
                            lam=0.25 / prob.lipschitz)
         cfg = SolverConfig(policy=pol, max_iters=12, record_stride=5,
                            gap_region=region)
-        traj = run(prob, "risfbf", cfg, np.random.default_rng(4)).trajectory
+        out, points = run_with_points(prob, "risfbf", cfg,
+                                      np.random.default_rng(4))
+        traj = out.trajectory
         assert list(traj.k) == [1, 6, 11, 13]
         assert list(traj.gap) == [dual_gap_affine(prob, x, region)
-                                  for x in traj.points]
+                                  for x in points]
         assert np.all(np.isfinite(traj.gap))
         # nan without a region, and without an affine mean
         no_region = dataclasses.replace(cfg, gap_region=None)
@@ -329,8 +344,79 @@ class TestRun:
                                seed=0)
         cfg = SolverConfig(policy=self._policy(), max_iters=10)
         out = run(prob, "risfbf", cfg, np.random.default_rng(0))
-        assert out.trajectory.points is None
+        # run() keeps the recorded rows and no iterate, whatever the size
+        assert not hasattr(out.trajectory, "points")
         assert out.X.shape == (300,)
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_record_stride_must_be_positive(self, stride):
+        cfg = SolverConfig(lam=0.1, max_iters=5, record_stride=stride)
+        with pytest.raises(ValueError, match="record_stride"):
+            run(_noisy_problem(), "sfbf", cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("method", ["sfbf", "seg"])
+    def test_energy_rows_use_the_parameters_of_the_step(self, method):
+        # the baselines step with (0, lam, 1), not with the policy's own
+        # (alpha_k, lam_k, rho_k); the policy only supplies the constant a
+        prob = _noisy_problem()
+        pol = self._policy(alpha=0.3)
+        cfg = SolverConfig(policy=pol, lam=0.05, max_iters=20,
+                           record_energy=True)
+        out, points = run_with_points(prob, method, cfg,
+                                      np.random.default_rng(0))
+        L_tilde = lipschitz_tilde(prob.lipschitz)
+        want = [np.nan] + [
+            energy_H(points[i], points[i - 1], prob.solution, 0.0, 1.0,
+                     0.05, L_tilde, pol.a) for i in range(1, len(points))]
+        np.testing.assert_array_equal(out.trajectory.H_k, want)
+
+    def test_sa_records_no_energy(self):
+        # the 1/sqrt(k) step has no (alpha_k, lam_k, rho_k) for H_k to read
+        cfg = SolverConfig(policy=self._policy(), max_iters=10,
+                           record_energy=True)
+        out = run(_noisy_problem(), "sa", cfg, np.random.default_rng(0))
+        assert np.all(np.isnan(out.trajectory.H_k))
+
+    def test_baseline_takes_the_policy_step_when_lam_is_unset(self):
+        prob = _noisy_problem()
+        pol = RegimePolicy(regime="custom", alpha=0.0, lam=0.07, rho=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = run(prob, "sfbf", SolverConfig(policy=pol, max_iters=30),
+                      np.random.default_rng(7))
+        same = run(prob, "sfbf", SolverConfig(lam=0.07, max_iters=30),
+                   np.random.default_rng(7))
+        np.testing.assert_array_equal(out.X, same.X)
+        default = run(prob, "sfbf", SolverConfig(max_iters=30),
+                      np.random.default_rng(7))
+        assert not np.array_equal(out.X, default.X)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_target_stop_records_the_residual_that_stopped_it(
+            self, monkeypatch, seed):
+        # with estimated residuals a second estimate of the last iterate
+        # can land above the target that the first one met
+        prob = synthetic_build(dim=6, mu=1.0, skew_norm=1.0, sigma=0.5,
+                               seed=1)
+        blind = SimpleNamespace(mean=None, batch=prob.oracle.batch,
+                                variance_bound=prob.oracle.variance_bound)
+        masked = dataclasses.replace(prob, oracle=blind)
+        estimates = []
+        real = merit.residual
+
+        def spy(*args, **kwargs):
+            estimates.append(real(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(merit, "residual", spy)
+        cfg = SolverConfig(lam=0.05, residual_target=0.05, record_stride=7,
+                           max_iters=10**4)
+        out = run(masked, "sfbf", cfg, np.random.default_rng(seed))
+        assert out.stopped_by == "residual_target"
+        assert (out.iterations - 1) % 7 != 0   # the last row is off-stride
+        assert out.trajectory.residual[-1] <= 0.05
+        assert out.trajectory.residual[-1] == estimates[-1]
+        assert len(estimates) == out.iterations  # one per k = 1..K
 
 
 STEP_NAMES = ("risfbf_step", "sfbf_step", "seg_step", "sa_step",

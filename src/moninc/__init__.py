@@ -47,6 +47,7 @@ from .policy import (
     rho_asymptotic,
     rho_monotone,
     rho_strong,
+    schedule,
     schedule_at,
     validate,
 )

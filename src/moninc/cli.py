@@ -82,7 +82,10 @@ def _fmt(v) -> str:
     return f"{v:.6g}"
 
 
-def _print_errors(report) -> None:
+def _print_stderr(report) -> None:
+    if report.diagnostics:
+        print(f"{report.label}: policy diagnostics: "
+              f"{'; '.join(report.diagnostics)}", file=sys.stderr)
     for rep, reason in report.errors.items():
         print(f"{report.label}: replication {rep} failed: {reason}",
               file=sys.stderr)
@@ -101,7 +104,7 @@ def _print_report(report) -> None:
             line += f" ci=[{_fmt(lo)}, {_fmt(hi)}]"
         print(line)
     print(f"  outputs: {report.out_dir}/summary.csv")
-    _print_errors(report)
+    _print_stderr(report)
 
 
 def _cmd_run(args) -> int:
@@ -127,7 +130,7 @@ def _cmd_compare(args) -> int:
         cells = " ".join(f"{_fmt(report.means.get(m)):>12}" for m in _METRICS)
         print(f"{report.label:<20} {report.method:<9} {cells} "
               f"{report.wall_seconds:>8.2f} {report.failures:>6}")
-        _print_errors(report)
+        _print_stderr(report)
     if all(r.failures >= r.replications for r in reports):
         return 2
     return 0

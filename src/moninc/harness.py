@@ -14,10 +14,11 @@ configured number of replications, each on a stream derived from (global
 seed, replication index), writes one trajectory CSV per replication plus a
 summary CSV, and returns an aggregated report; a replication that fails
 numerically or breaks its policy's hypotheses is counted and its reason
-kept in RunReport.errors. Both CSVs take their columns from
-solvers.COLUMNS (the summary's rows lead with the replication index), and
-one cell formatter writes both. Reruns produce byte-identical CSV bodies
-except for the wall_time_s column.
+kept in RunReport.errors, and the policy diagnostics that the
+replications return are kept in RunReport.diagnostics. Both CSVs take
+their columns from solvers.COLUMNS (the summary's rows lead with the
+replication index), and one cell formatter writes both. Reruns produce
+byte-identical CSV bodies except for the wall_time_s column.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def _arguments(fn, values: dict, table: dict, what: str) -> dict:
 class ExperimentConfig:
     """Parsed experiment description; build_* methods produce live objects.
 
-    problem and solver are the coerced INI sections, keyed by INI key.
+    problem and solver are the coerced INI sections, keyed by INI key;
+    the SolverConfig that build_solver_config() makes checks the run keys.
     """
 
     problem: dict
@@ -140,21 +142,8 @@ class ExperimentConfig:
             raise ConfigError("replications must be at least 1")
         if not (0.0 < self.confidence < 1.0):
             raise ConfigError("confidence level must lie in (0,1)")
-        if self.stride < 1:
-            raise ConfigError("stride must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        budget = self.solver.get("budget")
-        iters = self.solver.get("max_iters")
-        if budget is not None and budget <= 0:
-            raise ConfigError("budget must be positive")
-        if iters is not None and iters <= 0:
-            raise ConfigError("max_iters must be positive")
-        if budget is None and iters is None \
-                and self.solver.get("residual_target") is None:
-            raise ConfigError(
-                "solver needs at least one of max_iters, budget, "
-                "residual_target")
 
     def _builder_call(self):
         """(builder, keyword arguments) for the [problem] kind; the builder
@@ -296,6 +285,7 @@ class RunReport:
     out_dir: str = ""
     results: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)  # rep -> "ExcType: message"
+    diagnostics: tuple = ()  # RunResult.diagnostics, equal for every rep
 
 
 def _fmt(v) -> str:
@@ -359,7 +349,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         replications=config.replications, failures=len(errors),
         wall_seconds=time.perf_counter() - t_start,
         out_dir=config.out_dir, results=[res for _, res in done],
-        errors=errors)
+        errors=errors, diagnostics=done[0][1].diagnostics if done else ())
 
     for name in _METRICS:
         vals = np.array([getattr(res.trajectory, name)[-1]

@@ -40,7 +40,7 @@ def residual(problem, x, lam: float, rng=None, est_batch: int = 10_000):
         if rng is None:
             raise UnsupportedOperation(
                 "oracle has no mean and no rng was supplied for estimation")
-        v, _ = minibatch_estimate(problem.oracle, x, est_batch, rng)
+        v = minibatch_estimate(problem.oracle, x, est_batch, rng)
     y = problem.resolvent.apply(x - lam * v, lam)
     return float(np.linalg.norm(x - y))
 

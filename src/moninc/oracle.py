@@ -2,8 +2,8 @@
 
 An oracle returns noisy evaluations of an expectation-valued operator V,
 and only as mini-batch averages: a StochasticOracle defines batch(x, m, rng),
-the average of m iid draws, next to mean, variance_bound and bias_bound;
-sample() is the batch of one. The built-in oracles live with their problems
+the average of m iid draws (one draw is the batch of one), next to mean,
+variance_bound and bias_bound. The built-in oracles live with their problems
 in `moninc.problems`. Mini-batching makes the estimator error variance decay
 like sigma^2/m; schedules grow m with the iteration counter k. Randomness
 always comes from caller-owned numpy Generator streams, so replications are
@@ -33,7 +33,7 @@ class StochasticOracle:
 
     Attributes:
         mean: callable x -> V(x) exactly, or None when unavailable.
-        variance_bound: sigma with E||sample(x) - V(x)||^2 <= sigma^2,
+        variance_bound: sigma with E||batch(x, 1) - V(x)||^2 <= sigma^2,
             or None when not declared.
         bias_bound: b_hat with ||E batch(x, m) - V(x)|| <= b_hat/sqrt(m);
             zero for unbiased oracles.
@@ -46,10 +46,6 @@ class StochasticOracle:
     def batch(self, x, m, rng):
         """Average of m iid draws of V_hat(x, xi)."""
         raise NotImplementedError
-
-    def sample(self, x, rng):
-        """One draw of V_hat(x, xi): a batch of one."""
-        return self.batch(x, 1, rng)
 
 
 @dataclass(frozen=True)
@@ -137,8 +133,8 @@ def batch_size(schedule: BatchSchedule, k: int) -> int:
 def minibatch_estimate(oracle: StochasticOracle, x, m: int, rng):
     """Mini-batch average of m oracle draws at x.
 
-    Returns (estimate, draws_used). A non-finite estimate raises
-    NumericFailure; run() adds the method, iteration and batch size.
+    A non-finite estimate raises NumericFailure; run() adds the method,
+    iteration and batch size.
     """
     if m < 1:
         raise ValueError("batch size must be >= 1")
@@ -146,7 +142,7 @@ def minibatch_estimate(oracle: StochasticOracle, x, m: int, rng):
     est = np.asarray(est, dtype=np.float64)
     if not np.all(np.isfinite(est)):
         raise NumericFailure("minibatch estimate is non-finite")
-    return est, int(m)
+    return est
 
 
 def empirical_variance(oracle: StochasticOracle, x, m: int, repeats: int,
@@ -160,6 +156,6 @@ def empirical_variance(oracle: StochasticOracle, x, m: int, repeats: int,
     v = np.asarray(oracle.mean(x), dtype=np.float64)
     norms = np.empty(repeats)
     for i in range(repeats):
-        est, _ = minibatch_estimate(oracle, x, m, rng)
+        est = minibatch_estimate(oracle, x, m, rng)
         norms[i] = np.linalg.norm(est - v)
     return float(np.var(norms, ddof=1))

@@ -11,15 +11,18 @@ relaxation rho_k evolve:
     monotone_gap      merely monotone case, lam < 1/(2L), relaxation from the
                       averaged-gap rule
     custom            user-supplied constants; validate() still reports any
-                      violated hypotheses of the closest regime as warnings
+                      violated hypotheses of the closest regime
 
-One table holds each regime's hypotheses, which schedule_at() enforces and
-validate() reports; validation never silently alters a user's numbers.
+lam and the custom rho are numbers, so a regime's hypotheses hold at every
+k exactly when they hold at k = 1. One table holds them: schedule() checks
+the fatal ones once and returns the law k -> (alpha_k, lam, rho_k), and
+validate() lists every violated one; neither alters a user's numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,12 +31,12 @@ __all__ = [
     "PolicyViolation",
     "RegimePolicy",
     "alpha_at",
-    "lam_at",
     "rho_asymptotic",
     "rho_strong",
     "rho_monotone",
     "lambda_strong",
     "lipschitz_tilde",
+    "schedule",
     "schedule_at",
     "validate",
 ]
@@ -50,21 +53,24 @@ class RegimePolicy:
     alpha is the constant inertia in "constant" mode, or the supremum
     alpha_0 in "increasing" mode where alpha_k = alpha_0 * (1 - 1/(k+1)).
     alpha_bar (the upper bound used by the relaxation formulas) equals alpha.
-    lam may be a positive float or a callable k -> lam_k.
-    rho is only consulted in the custom regime (float or callable k -> rho_k).
+    lam is the constant step, or None for strongly_monotone's default; rho
+    is the custom regime's constant relaxation. Both are numbers or None.
     """
 
     regime: str
     alpha: float
-    lam: object = None
+    lam: float | None = None
     alpha_mode: str = "constant"
     eps_bar: float = 0.1
     nu: float = 0.5
     a: float = 0.5
     b: float = 0.5
-    rho: object = None
+    rho: float | None = None
 
     def __post_init__(self):
+        for value in (self.lam, self.rho):
+            if value is not None and not isinstance(value, Real):
+                raise TypeError("lam and rho must each be a number or None")
         if self.regime not in _REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.alpha_mode not in ("constant", "increasing"):
@@ -86,14 +92,6 @@ def alpha_at(policy: RegimePolicy, k: int) -> float:
     return policy.alpha * (1.0 - 1.0 / (k + 1.0))
 
 
-def lam_at(policy: RegimePolicy, k: int) -> float:
-    if callable(policy.lam):
-        return float(policy.lam(k))
-    if policy.lam is None:
-        raise ValueError("policy has no step size lam")
-    return float(policy.lam)
-
-
 def rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar) -> float:
     """Relaxation for the small-step almost-sure convergence rule.
 
@@ -106,9 +104,7 @@ def rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar) -> float:
     if not (0.0 <= alpha_k <= alpha_bar < 1.0):
         raise ValueError("need 0 <= alpha_k <= alpha_bar < 1")
     _require((_LAM_POSITIVE, _ASYMPTOTIC_WINDOW), None, lam_k, L, None)
-    num = 5.0 * (1.0 - eps_bar) * (1.0 - alpha_bar) ** 2
-    den = 4.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam_k)
-    return num / den
+    return _rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar)
 
 
 def rho_strong(alpha_k, lam, L_tilde, a, floor=False) -> float:
@@ -128,9 +124,7 @@ def rho_strong(alpha_k, lam, L_tilde, a, floor=False) -> float:
     if floor:
         return (16.0 * (3.0 - a) * (1.0 - alpha_k) ** 2
                 / (31.0 * (1.0 + L_tilde * lam)))
-    num = (3.0 - a) * (1.0 - alpha_k) ** 2
-    den = 2.0 * (2.0 * alpha_k ** 2 - 0.5 * alpha_k + 1.0) * (1.0 + L_tilde * lam)
-    return num / den
+    return _rho_strong(alpha_k, lam, L_tilde, a)
 
 
 def rho_monotone(alpha_k, lam, L, alpha_bar) -> float:
@@ -142,9 +136,7 @@ def rho_monotone(alpha_k, lam, L, alpha_bar) -> float:
     if not (0.0 <= alpha_k <= alpha_bar < 1.0):
         raise ValueError("need 0 <= alpha_k <= alpha_bar < 1")
     _require((_LAM_POSITIVE, _MONOTONE_GAP_WINDOW), None, lam, L, None)
-    num = 3.0 * (1.0 - alpha_bar) ** 2
-    den = 2.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam)
-    return num / den
+    return _rho_monotone(alpha_k, lam, L, alpha_bar)
 
 
 def lipschitz_tilde(L) -> float:
@@ -169,6 +161,24 @@ def lambda_strong(mu, L, a, b) -> float:
 def _lambda_strong_tilde(mu, L_tilde, a, b):
     """lambda_strong in terms of L_tilde, unchecked."""
     return min(a / (2.0 * mu), b * mu, (1.0 - a) / (2.0 * L_tilde))
+
+
+# The relaxation formulas unchecked: the regime table's laws call these,
+# since schedule() has checked the hypotheses once.
+
+def _rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar):
+    return (5.0 * (1.0 - eps_bar) * (1.0 - alpha_bar) ** 2
+            / (4.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam_k)))
+
+
+def _rho_strong(alpha_k, lam, L_tilde, a):
+    return ((3.0 - a) * (1.0 - alpha_k) ** 2 / (2.0 * (
+        2.0 * alpha_k ** 2 - 0.5 * alpha_k + 1.0) * (1.0 + L_tilde * lam)))
+
+
+def _rho_monotone(alpha_k, lam, L, alpha_bar):
+    return (3.0 * (1.0 - alpha_bar) ** 2
+            / (2.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam)))
 
 
 def _rho_larger_step(alpha_k, lam, L, nu, eps_bar) -> float:
@@ -213,39 +223,38 @@ _COMMON = (_LAM_POSITIVE,
 
 class _Regime(NamedTuple):
     hypotheses: tuple  # checked after _COMMON, in order
-    rho: Callable      # (policy, k, alpha_k, lam_k, L) -> rho_k
+    rho: Callable      # (policy, alpha_k, lam, L) -> rho_k
     default_lam: Callable | None = None  # (policy, L, mu), for lam = None
 
 
 _REGIMES = {
     "asymptotic": _Regime(
         (_unit("eps_bar"), _ASYMPTOTIC_WINDOW),
-        lambda p, k, ak, lk, L: rho_asymptotic(ak, lk, L, p.eps_bar,
-                                               p.alpha_bar)),
+        lambda p, ak, lk, L: _rho_asymptotic(ak, lk, L, p.eps_bar,
+                                             p.alpha_bar)),
     "larger_step": _Regime(
         ((lambda p, *_: p.alpha_mode == "constant",
           lambda *_: "larger_step regime assumes constant inertia", False),
          _unit("nu"),
          _window("(1-nu)/(2L)", lambda p, L: (1.0 - p.nu) / (2.0 * L))),
-        lambda p, k, ak, lk, L: _rho_larger_step(ak, lk, L, p.nu, p.eps_bar)),
+        lambda p, ak, lk, L: _rho_larger_step(ak, lk, L, p.nu, p.eps_bar)),
     "strongly_monotone": _Regime(
         (_unit("a"), _unit("b"),
          (lambda p, lam, L, mu: mu is not None and mu > 0,
           lambda *_: "strongly_monotone regime without a positive mu", True),
-         # advisory: non-strict runs may step above the cap after a warning
+         # advisory: non-strict runs may step above the cap, with a diagnostic
          (lambda p, lam, L, mu: lam <= _strong_cap(p, L, mu),
           lambda p, lam, L, mu: (f"lam = {lam:g} exceeds lambda_strong = "
                                  f"{_strong_cap(p, L, mu):g}"), False)),
-        lambda p, k, ak, lk, L: rho_strong(ak, lk, lipschitz_tilde(L), p.a),
+        lambda p, ak, lk, L: _rho_strong(ak, lk, lipschitz_tilde(L), p.a),
         default_lam=_strong_cap),
     "monotone_gap": _Regime(
         (_MONOTONE_GAP_WINDOW,),
-        lambda p, k, ak, lk, L: rho_monotone(ak, lk, L, p.alpha_bar)),
+        lambda p, ak, lk, L: _rho_monotone(ak, lk, L, p.alpha_bar)),
     "custom": _Regime(
         ((lambda p, *_: p.rho is not None,
           lambda *_: "custom regime without an explicit rho", True),),
-        lambda p, k, ak, lk, L: (float(p.rho(k)) if callable(p.rho)
-                                 else float(p.rho))),
+        lambda p, ak, lk, L: float(p.rho)),
 }
 
 
@@ -255,43 +264,53 @@ def _require(hypotheses, policy, lam, L, mu):
             raise PolicyViolation(message(policy, lam, L, mu))
 
 
-def _lam_k(policy: RegimePolicy, k: int, L: float, mu):
+def _lam(policy: RegimePolicy, L: float, mu):
+    if policy.lam is not None:
+        return float(policy.lam)
     default = _REGIMES[policy.regime].default_lam
-    if policy.lam is None and default is not None:
-        return default(policy, L, mu)
-    return lam_at(policy, k)
+    if default is None:
+        raise ValueError("policy has no step size lam")
+    return default(policy, L, mu)
+
+
+def schedule(policy: RegimePolicy, L: float, mu: float | None = None):
+    """The law k -> (alpha_k, lam, rho_k), k >= 1, after checking the
+    fatal hypotheses once: PolicyViolation names the first one broken."""
+    regime = _REGIMES[policy.regime]
+    lam = _lam(policy, L, mu)
+    _require(_COMMON + regime.hypotheses, policy, lam, L, mu)
+
+    def at(k: int):
+        ak = alpha_at(policy, k)
+        return ak, lam, regime.rho(policy, ak, lam, L)
+
+    return at
 
 
 def schedule_at(policy: RegimePolicy, k: int, L: float, mu: float | None = None):
-    """(alpha_k, lam_k, rho_k) at iteration k under the policy's regime;
-    PolicyViolation on the first violated fatal hypothesis at lam_k."""
-    regime = _REGIMES[policy.regime]
-    lk = _lam_k(policy, k, L, mu)
-    _require(_COMMON + regime.hypotheses, policy, lk, L, mu)
-    ak = alpha_at(policy, k)
-    return ak, lk, regime.rho(policy, k, ak, lk, L)
+    """(alpha_k, lam, rho_k) at iteration k: schedule(policy, L, mu)(k)."""
+    return schedule(policy, L, mu)(k)
 
 
 def validate(policy: RegimePolicy, L: float, mu: float | None = None):
-    """Every violated hypothesis at lam_1, as text; custom policies are also
-    held to their closest regime. Never raises: the caller decides whether
-    a violation is fatal."""
+    """Every violated hypothesis, as text; custom policies are also held to
+    their closest regime. Never raises: the caller decides whether a
+    violation is fatal."""
     try:
-        lam1 = _lam_k(policy, 1, L, mu)
+        lam = _lam(policy, L, mu)
     except ValueError as exc:
         return [str(exc)]
     hypotheses = _COMMON + _REGIMES[policy.regime].hypotheses
     if policy.regime == "custom":
         hypotheses += _REGIMES[_closest_regime(policy)].hypotheses
-    return [message(policy, lam1, L, mu)
+    return [message(policy, lam, L, mu)
             for holds, message, _ in hypotheses
-            if not holds(policy, lam1, L, mu)]
+            if not holds(policy, lam, L, mu)]
 
 
 def _closest_regime(policy: RegimePolicy) -> str:
     # custom runs are checked against the hypotheses they most plausibly
     # target: strongly monotone if rho is 1-ish, else the asymptotic rule.
-    rho = policy.rho
-    if rho is not None and not callable(rho) and float(rho) >= 1.0:
+    if policy.rho is not None and policy.rho >= 1.0:
         return "strongly_monotone"
     return "asymptotic"

@@ -34,7 +34,6 @@ __all__ = [
     "cap_apply_L",
     "cap_apply_L_adjoint",
     "cap_mean",
-    "SyntheticAffineInstance",
     "synthetic_build",
 ]
 
@@ -84,7 +83,7 @@ class CournotInstance:
     sells at the linear inverse-demand price. The game map sums the
     marginal cost b_hat_i*x_i + a_i, the price term r*(sum_j x_j + x_i) - d,
     and a smoothed recourse gradient whose per-scenario value is
-    min(x_i/eps, h_i) with h_i drawn from Uniform[h_low, h_high].
+    min(x_i/eps, h_i) with h_i drawn from Uniform[-5, 0].
     """
 
     n: int
@@ -94,22 +93,17 @@ class CournotInstance:
     b_hat: np.ndarray
     eps: float
     box: BoxSet
-    h_low: float = -5.0
-    h_high: float = 0.0
 
 
-def expected_min_uniform(c, lo=-5.0, hi=0.0):
-    """E[min(c, h)] for h ~ Uniform[lo, hi], componentwise in c.
+_H_LOW, _H_HIGH = -5.0, 0.0  # the demand shocks h are Uniform[_H_LOW, _H_HIGH]
 
-    For the default [-5, 0] law: c when c <= -5, -(c^2+25)/10 on (-5, 0),
-    and -2.5 (the mean of h) once c >= 0.
+
+def expected_min_uniform(c):
+    """E[min(c, h)] for h ~ Uniform[-5, 0], componentwise in c.
+
+    c when c <= -5, -(c^2+25)/10 on (-5, 0), and -2.5 (the mean of h)
+    once c >= 0.
     """
-    if not (lo == -5.0 and hi == 0.0):
-        # general uniform: integrate min(c,h) piecewise
-        c = np.asarray(c, dtype=np.float64)
-        width = hi - lo
-        mid = (c * (hi - c) + 0.5 * (c * c - lo * lo)) / width
-        return np.where(c <= lo, c, np.where(c >= hi, (lo + hi) / 2.0, mid))
     c = np.asarray(c, dtype=np.float64)
     return np.where(c <= -5.0, c,
                     np.where(c >= 0.0, -2.5, -(c * c + 25.0) / 10.0))
@@ -125,8 +119,7 @@ def _cournot_deterministic(inst: CournotInstance, x):
 def cournot_mean(inst: CournotInstance, x):
     """Exact mean operator (recourse expectation in closed form)."""
     c = np.asarray(x, dtype=np.float64) / inst.eps
-    return _cournot_deterministic(inst, x) + expected_min_uniform(
-        c, inst.h_low, inst.h_high)
+    return _cournot_deterministic(inst, x) + expected_min_uniform(c)
 
 
 class _CournotOracle(StochasticOracle):
@@ -135,12 +128,12 @@ class _CournotOracle(StochasticOracle):
         self.mean = lambda x: cournot_mean(inst, x)
         # min(c, .) is a 1-Lipschitz transform of h, so each coordinate's
         # variance is at most var(h) = width^2/12
-        width = inst.h_high - inst.h_low
+        width = _H_HIGH - _H_LOW
         self.variance_bound = float(np.sqrt(inst.n * width ** 2 / 12.0))
 
     def batch(self, x, m, rng):
         inst = self.inst
-        h = rng.uniform(inst.h_low, inst.h_high, (m, inst.n))
+        h = rng.uniform(_H_LOW, _H_HIGH, (m, inst.n))
         recourse = np.minimum(np.asarray(x, dtype=np.float64) / inst.eps, h)
         return _cournot_deterministic(inst, x) + recourse.mean(axis=0)
 
@@ -379,15 +372,6 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
 # Synthetic affine instance with computed reference solution
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticAffineInstance:
-    M: np.ndarray
-    c: np.ndarray
-    box: BoxSet
-    mu: float
-    x_ref: np.ndarray
-
-
 class _AffineGaussianOracle(StochasticOracle):
     """Affine mean plus Gaussian mini-batch noise, sampled by its law.
 
@@ -401,8 +385,6 @@ class _AffineGaussianOracle(StochasticOracle):
     """
 
     def __init__(self, M, c, sigma, bias):
-        self.M = M
-        self.c = c
         d = c.shape[0]
         self.dim = d
         self.mean = lambda x: M @ np.asarray(x, dtype=np.float64) + c
@@ -500,7 +482,6 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
             f"reference solve stalled at residual {resid:.3e} "
             f"after {ref_max_iters} iterations")
 
-    inst = SyntheticAffineInstance(M=M, c=c, box=box, mu=float(mu), x_ref=x)
     xr = x.copy()
     xn = float(np.linalg.norm(xr))
     return ProblemInstance(
@@ -516,5 +497,4 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
         affine_matrix=M,
         affine_shift=c,
         initial_point=np.zeros(d),
-        detail=inst,
     )

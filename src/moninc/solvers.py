@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -97,9 +96,9 @@ def _commit(state: SolverState, X_new, Y, rho_k, calls):
 def risfbf_step(state: SolverState, problem, alpha_k, lam_k, rho_k, m_k):
     """One inertial relaxed forward-backward-forward update (two batches)."""
     Z = _extrapolate(state, alpha_k)
-    A, _ = minibatch_estimate(problem.oracle, Z, m_k, state.rng)
+    A = minibatch_estimate(problem.oracle, Z, m_k, state.rng)
     Y = problem.resolvent.apply(Z - lam_k * A, lam_k)
-    B, _ = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
+    B = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
     correction = Y + lam_k * (A - B)
     if rho_k == 1.0:
         X_new = correction
@@ -117,9 +116,9 @@ def sfbf_step(state: SolverState, problem, lam, m_k):
 def seg_step(state: SolverState, problem, lam, m_k):
     """Extragradient: both the trial and the final point are projected."""
     X = state.X
-    A, _ = minibatch_estimate(problem.oracle, X, m_k, state.rng)
+    A = minibatch_estimate(problem.oracle, X, m_k, state.rng)
     Y = problem.resolvent.apply(X - lam * A, lam)
-    B, _ = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
+    B = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
     X_new = problem.resolvent.apply(X - lam * B, lam)
     _commit(state, X_new, Y, 1.0, 2 * m_k)
     return state
@@ -128,7 +127,7 @@ def seg_step(state: SolverState, problem, lam, m_k):
 def sa_step(state: SolverState, problem, k, m: int = 1):
     """Projected stochastic approximation with step 1/sqrt(k), one draw."""
     lam_k = 1.0 / np.sqrt(k)
-    est, _ = minibatch_estimate(problem.oracle, state.X, m, state.rng)
+    est = minibatch_estimate(problem.oracle, state.X, m, state.rng)
     X_new = problem.resolvent.apply(state.X - lam_k * est, lam_k)
     _commit(state, X_new, X_new, 1.0, m)
     return state
@@ -146,18 +145,18 @@ def proxpoint_step(state: SolverState, problem, alpha_k, lam_k, rho_k):
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Run-level knobs: schedules, stopping, and what to record.
 
-    Exactly the stop rules that are set apply (at least one of max_iters,
-    max_oracle_calls, residual_target is required); residual_target needs
-    record_residual, since the residual is what it stops on. The baselines
-    step with lam, else the policy's lam_1, else 1/(4L). The residual
-    column is taken at step 1/(4L) (1 when L = 0). Rows are recorded every
-    record_stride >= 1 iterations; H_k (record_energy) needs a known
-    solution, a policy for its constant a, and a method with parameters,
-    which sa lacks.
+    Construction checks the run settings; run() trusts them. Exactly the
+    stop rules that are set apply (at least one is required; max_iters and
+    max_oracle_calls are positive); residual_target needs record_residual,
+    since the residual is what it stops on. The baselines step with lam,
+    else the policy's lam, else 1/(4L). The residual column is taken at
+    step 1/(4L) (1 when L = 0). Rows are recorded every record_stride >= 1
+    iterations; H_k (record_energy) needs a known solution, a policy for
+    its constant a, and a method with parameters, which sa lacks.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -171,6 +170,19 @@ class SolverConfig:
     record_energy: bool = False
     gap_region: object = None
     strict: bool = False
+
+    def __post_init__(self):
+        if self.max_iters is None and self.max_oracle_calls is None \
+                and self.residual_target is None:
+            raise ValueError("config sets no stop rule: set max_iters, "
+                             "max_oracle_calls or residual_target")
+        for name in ("max_iters", "max_oracle_calls"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be at least 1")
+        if self.residual_target is not None and not self.record_residual:
+            raise ValueError("residual_target needs record_residual")
 
 
 COLUMNS = ("k", "oracle_calls", "residual", "rel_error", "gap", "H_k",
@@ -204,6 +216,7 @@ class RunResult:
     oracle_calls: int
     stopped_by: str
     reached_target: bool
+    diagnostics: tuple = ()  # validate()'s text; empty for a clean policy
 
 
 def _quarter_inverse(L: float) -> float:
@@ -215,14 +228,14 @@ def _baseline_lam(config: SolverConfig, problem) -> float:
     if config.lam is not None:
         return float(config.lam)
     if config.policy is not None and config.policy.lam is not None:
-        return policy_mod.lam_at(config.policy, 1)
+        return float(config.policy.lam)
     return _quarter_inverse(problem.lipschitz)
 
 
 class _Method(NamedTuple):
     step: str           # kernel name, resolved per run() so patches apply
     batches: int        # mini-batches drawn per iteration
-    params: str | None  # "policy": schedule_at, "baseline": (0, lam, 1)
+    params: str | None  # "policy": policy.schedule, "baseline": (0, lam, 1)
     args: Callable      # (k, m_k, params_at) -> kernel arguments
 
 
@@ -242,53 +255,44 @@ METHODS = tuple(_TABLE)
 def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     """Drive `method` on `problem` until a stop rule fires.
 
-    The starting point comes from the problem (its sampler consumes the
-    stream first). One trajectory row describes the iterate X_k, from k=1
-    (the initial point) at the configured stride, plus the final iterate;
-    the iterates themselves are not kept. H_k is taken at the parameters
-    of the step from X_k, and a run that residual_target stops records the
-    residual that met it. If the oracle lacks an exact mean, residuals are
-    mini-batch estimates drawn from a side stream seeded from the main one
-    at start; the trajectory is flagged accordingly. A NumericFailure
-    raised by a step is raised again with the method, k, m_k and ||X_k||
-    in its message.
+    The policy is checked once, before any draw: validate()'s messages
+    raise PolicyViolation under config.strict, else they are returned as
+    RunResult.diagnostics, and policy.schedule() raises on a fatal
+    hypothesis. The starting point comes from the problem (its sampler
+    consumes the stream first). One trajectory row describes the iterate
+    X_k, from k=1 (the initial point) at the configured stride, plus the
+    final iterate; the iterates themselves are not kept. H_k is taken at
+    the parameters of the step from X_k, and a run that residual_target
+    stops records the residual that met it. If the oracle lacks an exact
+    mean, residuals are mini-batch estimates drawn from a side stream
+    seeded from the main one at start; the trajectory is flagged
+    accordingly. A NumericFailure
+    raised by a step is raised again with the method, k, m_k, ||X_k|| and
+    the policy diagnostics in its message.
     """
     spec = _TABLE.get(method)
     if spec is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    target = config.residual_target
-    if config.max_iters is None and config.max_oracle_calls is None \
-            and target is None:
-        raise ValueError("config sets no stop rule")
-    if target is not None and not config.record_residual:
-        raise ValueError("residual_target needs record_residual")
-    if config.record_stride < 1:
-        raise ValueError("record_stride must be at least 1")
+    pol = config.policy
+    if spec.params == "policy" and pol is None:
+        raise ValueError(f"{method} needs a RegimePolicy")
+    mu = problem.strong_monotonicity if problem.strong_monotonicity > 0 else None
+    diagnostics = tuple(policy_mod.validate(pol, problem.lipschitz, mu)
+                        if pol is not None else ())
+    if diagnostics and config.strict:
+        raise policy_mod.PolicyViolation("; ".join(diagnostics))
+    if spec.params == "policy":
+        # the step from X_k and the H_k row of X_k share one evaluation
+        params_at = functools.lru_cache(maxsize=1)(
+            policy_mod.schedule(pol, problem.lipschitz, mu))
+    else:  # sa reads no parameters
+        fixed = (0.0, _baseline_lam(config, problem), 1.0)
+        params_at = lambda k: fixed
     if rng is None:
         rng = np.random.default_rng()
 
-    pol = config.policy
-    mu = problem.strong_monotonicity if problem.strong_monotonicity > 0 else None
-    if pol is not None:
-        diags = policy_mod.validate(pol, problem.lipschitz, mu)
-        if diags:
-            msg = "; ".join(diags)
-            if config.strict:
-                raise policy_mod.PolicyViolation(msg)
-            warnings.warn(f"policy diagnostics: {msg}", stacklevel=2)
-    if spec.params == "policy" and pol is None:
-        raise ValueError(f"{method} needs a RegimePolicy")
-
     eval_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
     state = init_state(problem.initial(rng), rng)
-
-    if spec.params == "baseline":
-        fixed = (0.0, _baseline_lam(config, problem), 1.0)
-        params_at = lambda k: fixed
-    else:
-        # the step from X_k and the H_k row of X_k share one evaluation
-        params_at = functools.lru_cache(maxsize=1)(
-            lambda k: policy_mod.schedule_at(pol, k, problem.lipschitz, mu))
     step, batches, args = globals()[spec.step], spec.batches, spec.args
     res_lam = _quarter_inverse(problem.lipschitz)
     region = config.gap_region
@@ -321,6 +325,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
             merit.dual_gap_affine(problem, X, region) if gap_live else np.nan,
             energy_now(), time.perf_counter() - t0))
 
+    target = config.residual_target
     stopped_by = "max_iters"
     r = residual_now()
     record(r)
@@ -336,9 +341,12 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         try:
             step(state, problem, *args(k, m_k, params_at))
         except NumericFailure as exc:
+            # a failed run returns no diagnostics, so its message keeps them
+            hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"
+                    if diagnostics else "")
             raise NumericFailure(
                 f"{method} at k={k}, m_k={m_k}, "
-                f"||X||={np.linalg.norm(state.X):.6g}: {exc}") from exc
+                f"||X||={np.linalg.norm(state.X):.6g}: {exc}{hint}") from exc
         on_row = (state.k - 1) % config.record_stride == 0
         if on_row or target is not None:
             r = residual_now()
@@ -359,4 +367,5 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         oracle_calls=state.oracle_calls,
         stopped_by=stopped_by,
         reached_target=stopped_by == "residual_target",
+        diagnostics=diagnostics,
     )

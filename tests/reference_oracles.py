@@ -65,7 +65,7 @@ class _NoiseInjectionOracle(StochasticOracle):
     """mean_fn plus literal sampled noise; batches draw an (m, d) block.
 
     Filling an (m, d) array consumes the generator exactly like m sequential
-    d-vectors, so batch() and m calls to sample() see the same draws.
+    d-vectors, so batch(x, m) and m calls of batch(x, 1) see the same draws.
     """
 
     def __init__(self, mean_fn, noise: NoiseModel, dim: int):

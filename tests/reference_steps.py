@@ -13,10 +13,10 @@ def risfbf_step_fixedpoint_form(state: SolverState, problem, alpha_k, lam_k,
     stream the iterates match risfbf_step to round-off.
     """
     Z = _extrapolate(state, alpha_k)
-    A, _ = minibatch_estimate(problem.oracle, Z, m_k, state.rng)
+    A = minibatch_estimate(problem.oracle, Z, m_k, state.rng)
     forward = Z - lam_k * A
     Y = problem.resolvent.apply(forward, lam_k)
-    B, _ = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
+    B = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
     phi = forward - (Y - lam_k * B)
     X_new = Z - rho_k * phi
     _commit(state, X_new, Y, rho_k, 2 * m_k)

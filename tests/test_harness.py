@@ -572,6 +572,26 @@ class TestCli:
             assert (f"{label}: replication 1 failed: FloatingPointError: "
                     "overflow in multiply") in err
 
+    def test_compare_prints_policy_diagnostics_once_per_config(
+            self, tmp_path, capsys):
+        # lam = 0.0025 sits just above lambda_strong = 0.00249994 of the
+        # capacity game, which the custom regime is held to at rho = 1
+        text = ("[problem]\nkind = cournot\nl_v = 100\nseed = 0\n\n"
+                "[solver]\nmethod = risfbf\nregime = custom\nalpha = 0.1\n"
+                "lam = 0.0025\nrho = 1.0\nbudget = 400\n\n"
+                "[output]\nreplications = 3\n\n[meta]\nlabel = {}\n")
+        paths = [_write(tmp_path, text.format(label), name=f"{label}.ini")
+                 for label in ("first", "second")]
+        code = cli.main(["compare", *paths, "--out-dir",
+                         str(tmp_path / "out")])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        for label in ("first", "second"):
+            assert [line for line in lines
+                    if line.startswith(f"{label}: policy diagnostics:")] == [
+                f"{label}: policy diagnostics: lam = 0.0025 exceeds "
+                "lambda_strong = 0.00249994"]
+
     def test_bounds_reports_contraction_and_complexity(self, tmp_path,
                                                        capsys):
         text = BASE_INI.replace("batch_kind = constant\nbatch_m = 2",

@@ -36,8 +36,7 @@ class TestResidual:
     def test_estimated_residual_needs_rng(self):
         prob = synthetic_build(dim=4, seed=0)
         noiseless = prob.oracle
-        est_only = SimpleNamespace(mean=None, batch=noiseless.batch,
-                                   sample=noiseless.sample)
+        est_only = SimpleNamespace(mean=None, batch=noiseless.batch)
         stub = SimpleNamespace(oracle=est_only, resolvent=prob.resolvent)
         with pytest.raises(UnsupportedOperation):
             residual(stub, np.zeros(4), 0.1)

@@ -83,16 +83,15 @@ class TestMinibatch:
     def test_noiseless_estimate_equals_mean(self):
         oracle = build_oracle(lambda x: 2.0 * x, NoiseModel.gaussian(0.0), 3)
         x = np.array([1.0, -2.0, 0.5])
-        est, used = minibatch_estimate(oracle, x, 5, np.random.default_rng(0))
+        est = minibatch_estimate(oracle, x, 5, np.random.default_rng(0))
         np.testing.assert_array_equal(est, 2.0 * x)
-        assert used == 5
 
     def test_batch_matches_sequential_samples_bitwise(self):
         oracle = build_oracle(zero_mean, NoiseModel.gaussian(1.0), 4)
         x = np.zeros(4)
         b = oracle.batch(x, 6, np.random.default_rng(42))
         rng = np.random.default_rng(42)
-        s = np.mean([oracle.sample(x, rng) for _ in range(6)], axis=0)
+        s = np.mean([oracle.batch(x, 1, rng) for _ in range(6)], axis=0)
         np.testing.assert_array_equal(b, s)
 
     def test_variance_scales_inversely_with_m(self):
@@ -101,7 +100,7 @@ class TestMinibatch:
         x = np.zeros(10)
 
         def mse(m, reps=300):
-            return np.mean([np.sum(minibatch_estimate(oracle, x, m, rng)[0] ** 2)
+            return np.mean([np.sum(minibatch_estimate(oracle, x, m, rng) ** 2)
                             for _ in range(reps)])
 
         m1, m16 = mse(1), mse(16)
@@ -111,7 +110,7 @@ class TestMinibatch:
     def test_uniform_noise_variance(self):
         oracle = build_oracle(zero_mean, NoiseModel.uniform(3.0), 5)
         rng = np.random.default_rng(8)
-        draws = np.array([oracle.sample(np.zeros(5), rng)
+        draws = np.array([oracle.batch(np.zeros(5), 1, rng)
                           for _ in range(4000)])
         assert np.var(draws) == pytest.approx(3.0, rel=0.1)  # w^2/3
 
@@ -119,15 +118,15 @@ class TestMinibatch:
         oracle = build_oracle(zero_mean, NoiseModel.biased(0.0, 2.0), 4)
         rng = np.random.default_rng(9)
         for m in (1, 4, 25):
-            est, _ = minibatch_estimate(oracle, np.zeros(4), m, rng)
+            est = minibatch_estimate(oracle, np.zeros(4), m, rng)
             assert np.linalg.norm(est) == pytest.approx(2.0 / np.sqrt(m),
                                                         abs=1e-12)
 
     def test_bias_follows_supplied_direction(self):
         direction = np.array([0.0, 0.0, 5.0])
         oracle = build_oracle(zero_mean, NoiseModel.biased(0.0, 1.0, direction), 3)
-        est, _ = minibatch_estimate(oracle, np.zeros(3), 1,
-                                    np.random.default_rng(0))
+        est = minibatch_estimate(oracle, np.zeros(3), 1,
+                                 np.random.default_rng(0))
         np.testing.assert_allclose(est, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_nonfinite_draw_is_reported_with_index(self):
@@ -186,16 +185,13 @@ class _BatchOnly(StochasticOracle):
 
 class TestBatchOnlyOracle:
     def test_minibatch_estimate_and_sample_use_batch(self):
+        # a one-draw sample is the estimate at m = 1
         oracle = _BatchOnly(4)
         x = np.arange(4.0)
-        est, used = minibatch_estimate(oracle, x, 9,
-                                       np.random.default_rng(1))
-        np.testing.assert_array_equal(
-            est, oracle.batch(x, 9, np.random.default_rng(1)))
-        assert used == 9
-        np.testing.assert_array_equal(
-            oracle.sample(x, np.random.default_rng(2)),
-            oracle.batch(x, 1, np.random.default_rng(2)))
+        for m in (9, 1):
+            np.testing.assert_array_equal(
+                minibatch_estimate(oracle, x, m, np.random.default_rng(m)),
+                oracle.batch(x, m, np.random.default_rng(m)))
 
     def test_empirical_variance_follows_batch_size(self):
         oracle = _BatchOnly(8)
@@ -206,7 +202,7 @@ class TestBatchOnlyOracle:
 
     def test_base_contract_has_no_sampler(self):
         with pytest.raises(NotImplementedError):
-            StochasticOracle().sample(np.zeros(2), np.random.default_rng(0))
+            StochasticOracle().batch(np.zeros(2), 1, np.random.default_rng(0))
 
 
 def test_noise_model_validation():

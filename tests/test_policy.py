@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import moninc.policy as policy_mod
 from moninc.policy import (
     PolicyViolation,
     RegimePolicy,
     alpha_at,
     lambda_strong,
+    lipschitz_tilde,
     rho_asymptotic,
     rho_monotone,
     rho_strong,
+    schedule,
     schedule_at,
     validate,
 )
@@ -117,9 +120,41 @@ def test_schedule_at_custom_requires_rho():
     pol = RegimePolicy(regime="custom", alpha=0.1, lam=0.1)
     with pytest.raises(ValueError):
         schedule_at(pol, 1, L=1.0)
-    pol2 = RegimePolicy(regime="custom", alpha=0.1, lam=0.1,
-                        rho=lambda k: 1.0 / k)
+    pol2 = RegimePolicy(regime="custom", alpha=0.1, lam=0.1, rho=0.25)
     assert schedule_at(pol2, 4, L=1.0)[2] == 0.25
+
+
+@pytest.mark.parametrize("field", [dict(lam=lambda k: 0.1),
+                                   dict(rho=lambda k: 1.0 / k)],
+                         ids=["lam", "rho"])
+def test_steps_are_numbers_not_callables(field):
+    with pytest.raises(TypeError, match="number or None"):
+        RegimePolicy(regime="custom", alpha=0.1, **{"lam": 0.1, **field})
+
+
+@pytest.mark.parametrize("regime, L, mu, formula", [
+    ("asymptotic", 1.0, None,
+     lambda p, ak, lam, L: rho_asymptotic(ak, lam, L, p.eps_bar, p.alpha_bar)),
+    ("strongly_monotone", np.sqrt(0.5), 1.0,
+     lambda p, ak, lam, L: rho_strong(ak, lam, lipschitz_tilde(L), p.a)),
+    ("monotone_gap", 1.0, None,
+     lambda p, ak, lam, L: rho_monotone(ak, lam, L, p.alpha_bar)),
+])
+def test_schedule_checks_once_and_its_law_is_the_public_formulas(
+        monkeypatch, regime, L, mu, formula):
+    pol = RegimePolicy(regime=regime, alpha=0.4, alpha_mode="increasing",
+                       lam=None if regime == "strongly_monotone" else 0.2)
+    calls = []
+    real = policy_mod._require
+    monkeypatch.setattr(policy_mod, "_require",
+                        lambda *a: calls.append(a) or real(*a))
+    law = schedule(pol, L, mu)
+    rows = [law(k) for k in (1, 2, 50)]
+    assert len(calls) == 1   # the law itself checks nothing
+    monkeypatch.undo()
+    for k, (ak, lam, rk) in zip((1, 2, 50), rows):
+        assert ak == alpha_at(pol, k)
+        assert rk == formula(pol, ak, lam, L)
 
 
 def test_schedule_at_larger_step():

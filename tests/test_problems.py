@@ -4,6 +4,7 @@ import pytest
 import moninc.problems as problems
 from moninc.core import BallSet, BoxSet
 from moninc.merit import residual
+from moninc.oracle import minibatch_estimate
 from moninc.problems import (
     CournotInstance,
     cap_apply_L,
@@ -324,7 +325,8 @@ class TestSynthetic:
                                seed=3)
         rng = np.random.default_rng(4)
         x = prob.solution
-        draws = np.array([prob.oracle.sample(x, rng) for _ in range(20_000)])
+        draws = np.array([prob.oracle.batch(x, 1, rng)
+                          for _ in range(20_000)])
         center = draws.mean(axis=0)
         total_var = draws.var(axis=0).sum()
         assert np.linalg.norm(center - prob.oracle.mean(x)) <= 0.03
@@ -393,9 +395,11 @@ class TestSynthetic:
     lambda: synthetic_build(dim=10, sigma=0.8, bias=0.3, seed=3),
 ], ids=["cournot", "cap", "synthetic"])
 def test_sample_is_a_batch_of_one_bitwise(build):
+    # the one-draw sample that sa steps with is the estimate at m = 1
     prob = build()
     x = prob.initial(np.random.default_rng(0)) + 0.5
     for seed in range(5):
-        one = prob.oracle.sample(x, np.random.default_rng(seed))
+        one = minibatch_estimate(prob.oracle, x, 1,
+                                 np.random.default_rng(seed))
         batch = prob.oracle.batch(x, 1, np.random.default_rng(seed))
         np.testing.assert_array_equal(one, batch)

@@ -1,12 +1,12 @@
 import dataclasses
 import re
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import moninc.merit as merit
+import moninc.policy as policy_mod
 import moninc.solvers as solvers
 from moninc.core import BoxResolvent, BoxSet, NumericFailure
 from moninc.merit import GapRegion, dual_gap_affine, energy_H
@@ -107,9 +107,6 @@ class TestSteps:
                 log.append(np.array(x, dtype=np.float64))
                 return np.zeros(dim)
 
-            def sample(self, x, rng):
-                return self.batch(x, 1, rng)
-
         box = BoxSet(np.full(dim, -1.0), np.full(dim, 1.0))
         prob = SimpleNamespace(oracle=_Recorder(),
                                resolvent=BoxResolvent(box))
@@ -169,9 +166,13 @@ class TestRun:
             run(prob, "sgd", SolverConfig(max_iters=5))
 
     def test_missing_stop_rule_rejected(self):
-        prob = _noisy_problem()
         with pytest.raises(ValueError, match="stop rule"):
-            run(prob, "sfbf", SolverConfig(lam=0.1))
+            SolverConfig(lam=0.1)
+
+    @pytest.mark.parametrize("name", ["max_iters", "max_oracle_calls"])
+    def test_budgets_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            SolverConfig(lam=0.1, **{name: 0})
 
     def test_inertial_methods_require_policy(self):
         prob = _noisy_problem()
@@ -185,9 +186,36 @@ class TestRun:
         cfg = SolverConfig(policy=bad, max_iters=3, strict=True)
         with pytest.raises(PolicyViolation):
             run(prob, "risfbf", cfg, np.random.default_rng(0))
-        cfg_soft = SolverConfig(policy=bad, max_iters=3)
-        with pytest.warns(UserWarning, match="policy diagnostics"):
-            run(prob, "risfbf", cfg_soft, np.random.default_rng(0))
+        soft = run(prob, "risfbf", SolverConfig(policy=bad, max_iters=3),
+                   np.random.default_rng(0))
+        assert len(soft.diagnostics) == 1
+        assert soft.diagnostics[0].startswith("lam = 10 exceeds lambda_strong")
+        clean = run(prob, "risfbf",
+                    SolverConfig(policy=self._policy(), max_iters=3),
+                    np.random.default_rng(0))
+        assert clean.diagnostics == ()
+
+    def test_policy_hypotheses_are_checked_once_per_run(self, monkeypatch):
+        calls = []
+        real = policy_mod._require
+        monkeypatch.setattr(policy_mod, "_require",
+                            lambda *a: calls.append(a) or real(*a))
+        out = run(_noisy_problem(), "risfbf",
+                  SolverConfig(policy=self._policy(), max_iters=50),
+                  np.random.default_rng(0))
+        assert out.iterations == 51
+        assert len(calls) == 1
+
+    def test_fatal_policy_raises_before_any_draw(self):
+        class NoMean(StochasticOracle):
+            def batch(self, x, m, rng):
+                raise AssertionError("batch called")
+
+        prob = dataclasses.replace(_noisy_problem(), oracle=NoMean())
+        pol = RegimePolicy(regime="custom", alpha=0.1, lam=0.01)  # no rho
+        with pytest.raises(PolicyViolation, match="without an explicit rho"):
+            run(prob, "risfbf", SolverConfig(policy=pol, max_iters=5),
+                np.random.default_rng(0))
 
     def test_numeric_failure_names_method_iteration_batch_and_norm(self):
         class FailsOnSixthBatch(StochasticOracle):
@@ -217,6 +245,13 @@ class TestRun:
             record_residual=False), np.random.default_rng(0))
         assert float(match.group(1)) == pytest.approx(
             np.linalg.norm(before.X), rel=1e-5)
+        # a failed run returns no RunResult, so its message keeps them
+        pol = RegimePolicy(regime="strongly_monotone", alpha=0.1, lam=0.1)
+        with pytest.raises(NumericFailure, match=re.escape(
+                "non-finite; policy diagnostics: strongly_monotone regime "
+                "without a positive mu")):
+            run(problem(), "sfbf", dataclasses.replace(cfg, policy=pol),
+                np.random.default_rng(0))
 
     def test_iteration_budget_and_row_indexing(self):
         prob = _noisy_problem()
@@ -255,11 +290,9 @@ class TestRun:
 
     def test_residual_target_needs_the_residual_recorded(self):
         # the stop rule reads the residual column; without it nothing stops
-        prob = _noisy_problem()
-        cfg = SolverConfig(policy=self._policy(), residual_target=1e-3,
-                           record_residual=False, max_iters=50)
         with pytest.raises(ValueError, match="record_residual"):
-            run(prob, "risfbf", cfg, np.random.default_rng(0))
+            SolverConfig(policy=self._policy(), residual_target=1e-3,
+                          record_residual=False, max_iters=50)
 
     def test_gap_column_is_the_dual_gap_at_each_recorded_point(self):
         prob = synthetic_build(dim=6, mu=0.0, skew_norm=1.0, sigma=0.3,
@@ -314,7 +347,6 @@ class TestRun:
     def test_estimated_residual_flag_and_side_stream(self):
         prob = _noisy_problem()
         blind = SimpleNamespace(mean=None, batch=prob.oracle.batch,
-                                sample=prob.oracle.sample,
                                 variance_bound=prob.oracle.variance_bound)
         masked = dataclasses.replace(prob, oracle=blind)
         cfg = SolverConfig(policy=self._policy(), max_iters=20)
@@ -350,9 +382,8 @@ class TestRun:
 
     @pytest.mark.parametrize("stride", [0, -3])
     def test_record_stride_must_be_positive(self, stride):
-        cfg = SolverConfig(lam=0.1, max_iters=5, record_stride=stride)
         with pytest.raises(ValueError, match="record_stride"):
-            run(_noisy_problem(), "sfbf", cfg, np.random.default_rng(0))
+            SolverConfig(lam=0.1, max_iters=5, record_stride=stride)
 
     @pytest.mark.parametrize("method", ["sfbf", "seg"])
     def test_energy_rows_use_the_parameters_of_the_step(self, method):
@@ -380,10 +411,8 @@ class TestRun:
     def test_baseline_takes_the_policy_step_when_lam_is_unset(self):
         prob = _noisy_problem()
         pol = RegimePolicy(regime="custom", alpha=0.0, lam=0.07, rho=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = run(prob, "sfbf", SolverConfig(policy=pol, max_iters=30),
-                      np.random.default_rng(7))
+        out = run(prob, "sfbf", SolverConfig(policy=pol, max_iters=30),
+                  np.random.default_rng(7))
         same = run(prob, "sfbf", SolverConfig(lam=0.07, max_iters=30),
                    np.random.default_rng(7))
         np.testing.assert_array_equal(out.X, same.X)
@@ -516,17 +545,15 @@ class TestConvergenceSmoke:
         prob = _noisy_problem(sigma=0.2)
         pol = RegimePolicy(regime="strongly_monotone", alpha=0.1)
         batches = BatchSchedule.polynomial(1.2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for method in METHODS:
-                cfg = SolverConfig(
-                    policy=pol if method in ("risfbf", "proxpoint") else None,
-                    batches=batches, max_iters=300)
-                out = run(prob, method, cfg, np.random.default_rng(1))
-                first = out.trajectory.residual[0]
-                last = out.trajectory.residual[-1]
-                if method == "proxpoint":
-                    # no operator information: just must not blow up
-                    assert last <= first + 1e-12
-                else:
-                    assert last < 0.1 * first, method
+        for method in METHODS:
+            cfg = SolverConfig(
+                policy=pol if method in ("risfbf", "proxpoint") else None,
+                batches=batches, max_iters=300)
+            out = run(prob, method, cfg, np.random.default_rng(1))
+            first = out.trajectory.residual[0]
+            last = out.trajectory.residual[-1]
+            if method == "proxpoint":
+                # no operator information: just must not blow up
+                assert last <= first + 1e-12
+            else:
+                assert last < 0.1 * first, method

@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=str, default=None,
                        help="override the output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="concurrent replications")
+                       help="no effect; replications run serially")
         p.add_argument("--strict", action="store_true",
                        help="treat policy violations as fatal")
 

@@ -9,16 +9,16 @@ keys feed ExperimentConfig. An omitted key takes the default of the builder
 or dataclass it feeds. Unknown sections or keys, keys that the chosen batch
 schedule does not read, policy keys other than lam without a regime, and
 missing builder parameters without a default are hard errors, so typos
-cannot silently change an experiment. run_experiment executes the
-configured number of replications, each on a stream derived from (global
-seed, replication index), writes one trajectory CSV per replication plus a
-summary CSV, and returns an aggregated report; a replication that fails
-numerically or breaks its policy's hypotheses is counted and its reason
-kept in RunReport.errors, and the policy diagnostics that the
-replications return are kept in RunReport.diagnostics. Both CSVs take
-their columns from solvers.COLUMNS (the summary's rows lead with the
-replication index), and one cell formatter writes both. Reruns produce
-byte-identical CSV bodies except for the wall_time_s column.
+cannot silently change an experiment. run_experiment runs the configured
+replications in order on the calling thread, each on a stream derived from
+(global seed, replication index), writes one trajectory CSV per
+replication plus a summary CSV, and returns an aggregated report; a
+replication that fails numerically or breaks its policy's hypotheses is
+counted and its reason kept in RunReport.errors, and the policy
+diagnostics that the replications return are kept in RunReport.diagnostics.
+Both CSVs take their columns from solvers.COLUMNS (the summary's rows lead
+with the replication index), and one cell formatter writes both. Reruns
+produce byte-identical CSV bodies except for the wall_time_s column.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import csv
 import inspect
 import math
 import os
+import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +85,8 @@ _RUN_KEYS = {  # SolverConfig fields
     "residual_target": (float, "residual_target"),
     "record_energy": (bool, "record_energy"),
 }
+_FIELD_KEYS = {name: key for key, (_, name) in _RUN_KEYS.items()} | {
+    "record_stride": "[output] stride"}
 _SECTIONS = {
     "solver": {"method": (str, "method"), "batch_kind": (str, "kind"),
                **_POLICY_KEYS, **_BATCH_KEYS, **_RUN_KEYS},
@@ -134,7 +136,7 @@ class ExperimentConfig:
     confidence: float = 0.95
     seed: int = 0
     label: str = ""
-    workers: int = 1
+    workers: int = 1  # range-checked; replications run serially
     strict: bool = False
 
     def __post_init__(self):
@@ -266,7 +268,9 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         cfg._builder_call()
         cfg.build_solver_config()
     except ValueError as exc:  # ConfigError, or a policy or batch range check
-        raise ConfigError(f"{path}: {exc}") from None
+        # name the INI keys, not SolverConfig's fields
+        msg = re.sub(r"\w+", lambda w: _FIELD_KEYS.get(w[0], w[0]), str(exc))
+        raise ConfigError(f"{path}: {msg}") from None
     return cfg
 
 
@@ -313,9 +317,10 @@ def _write_csv(path: str, header, rows) -> None:
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute all replications of one configured experiment.
 
-    Replication r writes its trajectory to rep_<r>.csv; summary.csv holds
-    the last row of each successful replication, then the mean, stderr and
-    confidence bounds of each metric column and the failure count.
+    Replications run in order on the calling thread. Replication r writes
+    its trajectory to rep_<r>.csv, or its reason to errors[r]; summary.csv
+    holds the last row of each successful replication, then the mean,
+    stderr and confidence bounds of each metric column and the failure count.
     """
     problem = config.build_problem()
     scfg = config.build_solver_config()
@@ -323,33 +328,25 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     os.makedirs(config.out_dir, exist_ok=True)
 
     t_start = time.perf_counter()
-
-    def one_rep(rep):
+    results, rows, errors = [], [], {}  # rows: summary.csv's rep rows
+    for rep in range(config.replications):
         rng = np.random.default_rng([config.seed, rep])
         try:
             result = run(problem, method, scfg, rng=rng)
         except (NumericFailure, FloatingPointError, PolicyViolation) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+            errors[rep] = f"{type(exc).__name__}: {exc}"
+            continue
         traj = result.trajectory
         _write_csv(os.path.join(config.out_dir, f"rep_{rep}.csv"),
                    CSV_COLUMNS, (_cells(traj, i) for i in range(len(traj.k))))
-        return result, None
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(one_rep, range(config.replications)))
-    else:
-        outcomes = [one_rep(r) for r in range(config.replications)]
-    errors = {rep: err for rep, (_, err) in enumerate(outcomes)
-              if err is not None}
-    done = [(rep, res) for rep, (res, _) in enumerate(outcomes)
-            if res is not None]
+        results.append(result)
+        rows.append([rep, *_cells(traj, -1)])
     report = RunReport(
         label=config.label, method=method,
         replications=config.replications, failures=len(errors),
         wall_seconds=time.perf_counter() - t_start,
-        out_dir=config.out_dir, results=[res for _, res in done],
-        errors=errors, diagnostics=done[0][1].diagnostics if done else ())
+        out_dir=config.out_dir, results=results, errors=errors,
+        diagnostics=results[0].diagnostics if results else ())
 
     for name in _METRICS:
         vals = np.array([getattr(res.trajectory, name)[-1]
@@ -363,7 +360,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                                          / np.sqrt(vals.size))
             report.cis[name] = confidence_interval(vals, config.confidence)
 
-    rows = [[rep, *_cells(res.trajectory, -1)] for rep, res in done]
     cis = report.cis
     for tag, values in (("mean", report.means), ("stderr", report.stderrs),
                         ("ci_lo", {m: ci[0] for m, ci in cis.items()}),

@@ -6,8 +6,8 @@ the average of m iid draws (one draw is the batch of one), next to mean,
 variance_bound and bias_bound. The built-in oracles live with their problems
 in `moninc.problems`. Mini-batching makes the estimator error variance decay
 like sigma^2/m; schedules grow m with the iteration counter k. Randomness
-always comes from caller-owned numpy Generator streams, so replications are
-reproducible and may run concurrently.
+always comes from caller-owned numpy Generator streams, so each replication
+is reproducible from its own stream.
 """
 
 from __future__ import annotations

@@ -266,9 +266,9 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     stops records the residual that met it. If the oracle lacks an exact
     mean, residuals are mini-batch estimates drawn from a side stream
     seeded from the main one at start; the trajectory is flagged
-    accordingly. A NumericFailure
-    raised by a step is raised again with the method, k, m_k, ||X_k|| and
-    the policy diagnostics in its message.
+    accordingly. numpy overflow and invalid errors raise in the loop; they
+    and a NumericFailure are raised again as NumericFailure naming the
+    method, k, m_k, ||X_k|| and the policy diagnostics.
     """
     spec = _TABLE.get(method)
     if spec is None:
@@ -327,36 +327,39 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
 
     target = config.residual_target
     stopped_by = "max_iters"
-    r = residual_now()
-    record(r)
-    while target is None or not r <= target:  # a nan never meets a target
-        k = state.k
-        if config.max_iters is not None and k > config.max_iters:
-            break
-        m_k = batch_size(config.batches, k) if batches else 0
-        if (config.max_oracle_calls is not None and state.oracle_calls
-                + batches * m_k > config.max_oracle_calls):
-            stopped_by = "max_oracle_calls"
-            break
-        try:
-            step(state, problem, *args(k, m_k, params_at))
-        except NumericFailure as exc:
-            # a failed run returns no diagnostics, so its message keeps them
-            hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"
-                    if diagnostics else "")
-            raise NumericFailure(
-                f"{method} at k={k}, m_k={m_k}, "
-                f"||X||={np.linalg.norm(state.X):.6g}: {exc}{hint}") from exc
-        on_row = (state.k - 1) % config.record_stride == 0
-        if on_row or target is not None:
+    k, m_k = state.k, 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
             r = residual_now()
-        if on_row:
             record(r)
-    else:  # the loop ended on the target, not on a break
-        stopped_by = "residual_target"
-    if rows[-1][0] != state.k:
-        # with a target, r is always the residual of the current iterate
-        record(r if target is not None else residual_now())
+            while target is None or not r <= target:  # a nan never meets it
+                k = state.k
+                if config.max_iters is not None and k > config.max_iters:
+                    break
+                m_k = batch_size(config.batches, k) if batches else 0
+                if (config.max_oracle_calls is not None and state.oracle_calls
+                        + batches * m_k > config.max_oracle_calls):
+                    stopped_by = "max_oracle_calls"
+                    break
+                step(state, problem, *args(k, m_k, params_at))
+                on_row = (state.k - 1) % config.record_stride == 0
+                if on_row or target is not None:
+                    r = residual_now()
+                if on_row:
+                    record(r)
+            else:  # the loop ended on the target, not on a break
+                stopped_by = "residual_target"
+            if rows[-1][0] != state.k:
+                # with a target, r is the residual of the current iterate
+                record(r if target is not None else residual_now())
+    except (NumericFailure, FloatingPointError) as exc:
+        # a failed run returns no diagnostics, so its message keeps them
+        hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"
+                if diagnostics else "")
+        with np.errstate(all="ignore"):  # a diverged iterate's norm overflows
+            norm = np.linalg.norm(state.X)
+        raise NumericFailure(f"{method} at k={k}, m_k={m_k}, "
+                             f"||X||={norm:.6g}: {exc}{hint}") from exc
 
     return RunResult(
         trajectory=Trajectory(*map(np.array, zip(*rows)),

@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import functools
 import os
+import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -119,6 +121,26 @@ class TestLoadConfig:
     def test_unreadable_ini_reported_as_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             _load(tmp_path, "just some prose, no sections")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("max_iters = 40", "budget = 0", "budget must be positive"),
+        ("stride = 5", "stride = 0", "[output] stride must be at least 1"),
+        ("max_iters = 40\n", "",
+         "set max_iters, budget or residual_target"),
+    ], ids=["budget", "stride", "no-stop-rule"])
+    def test_run_key_errors_name_the_ini_key(self, tmp_path, old, new,
+                                             message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _load(tmp_path, BASE_INI.replace(old, new))
+
+    def test_workers_below_one_rejected_everywhere(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            _load(tmp_path, BASE_INI + "workers = 0\n")
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            _load(tmp_path, workers=0)
+        assert cli.main(["run", _write(tmp_path, BASE_INI),
+                         "--workers", "0"]) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
 
     def test_overrides_win_but_none_is_ignored(self, tmp_path):
         cfg = _load(tmp_path, seed=77, replications=None)
@@ -268,11 +290,22 @@ class TestRunExperiment:
                 ra[wall] = rb[wall] = ""
             assert rows_a == rows_b
 
-    def test_parallel_replications_match_serial(self, tmp_path):
-        serial = run_experiment(_load(tmp_path, out_dir=str(tmp_path / "s")))
-        par = run_experiment(_load(tmp_path, out_dir=str(tmp_path / "p"),
-                                   workers=2))
-        assert serial.means == par.means
+    def test_workers_start_no_thread_and_change_no_byte(self, tmp_path,
+                                                        monkeypatch):
+        run_experiment(_load(tmp_path, out_dir=str(tmp_path / "s")))
+
+        def no_thread(self):
+            raise AssertionError("a replication started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        run_experiment(_load(tmp_path, out_dir=str(tmp_path / "w"),
+                             workers=2))
+        assert CSV_COLUMNS[-1] == "wall_time_s"
+        for name in ("summary.csv", "rep_0.csv", "rep_1.csv", "rep_2.csv"):
+            a, b = (_read_csv(tmp_path / d / name) for d in ("s", "w"))
+            for ra, rb in zip(a, b):
+                ra[-1] = rb[-1] = ""
+            assert a == b
 
     def test_numeric_failures_counted_not_raised(self, tmp_path, monkeypatch):
         def boom(problem, method, cfg, rng=None):
@@ -289,9 +322,8 @@ class TestRunExperiment:
         failed_row = next(r for r in summary if r[0] == "failed")
         assert failed_row[1] == "3"
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_policy_violation_fails_one_replication(self, tmp_path,
-                                                    monkeypatch, workers):
+                                                    monkeypatch):
         real_run = harness.run
 
         def violate_in_rep_1(problem, method, cfg, rng=None):
@@ -301,7 +333,7 @@ class TestRunExperiment:
             return real_run(problem, method, cfg, rng=rng)
 
         monkeypatch.setattr(harness, "run", violate_in_rep_1)
-        report = run_experiment(_load(tmp_path, workers=workers))
+        report = run_experiment(_load(tmp_path))
         assert report.failures == 1
         assert report.errors == {
             1: "PolicyViolation: lam_k leaves the step window"}
@@ -387,6 +419,16 @@ def test_scipy_is_not_imported(tmp_path):
     assert "sfbf" in proc.stdout and "seg" in proc.stdout
 
 
+def test_import_loads_no_thread_pool():
+    script = ("import sys, moninc\n"
+              "assert 'concurrent.futures' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 REDUCTION_A = """\
 [problem]
 kind = synthetic
@@ -422,9 +464,8 @@ class TestOneRowFormat:
         assert names[:len(solvers.COLUMNS)] == solvers.COLUMNS
         assert names == solvers.COLUMNS + ("residual_estimated",)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_summary_rep_rows_are_the_last_rep_rows(self, tmp_path,
-                                                    monkeypatch, workers):
+                                                    monkeypatch):
         real_run = harness.run
 
         def fail_rep_1(problem, method, cfg, rng=None):
@@ -433,7 +474,7 @@ class TestOneRowFormat:
             return real_run(problem, method, cfg, rng=rng)
 
         monkeypatch.setattr(harness, "run", fail_rep_1)
-        run_experiment(_load(tmp_path, workers=workers))
+        run_experiment(_load(tmp_path))
         out = tmp_path / "out"
         summary = _read_csv(out / "summary.csv")
         assert tuple(summary[0]) == ("rep",) + CSV_COLUMNS

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from moninc.merit import GapRegion, dual_gap_affine, energy_H
 from moninc.oracle import BatchSchedule, StochasticOracle, batch_size
 from moninc.policy import (PolicyViolation, RegimePolicy, lipschitz_tilde,
                            schedule_at)
-from moninc.problems import cournot_build, synthetic_build
+from moninc.problems import cap_build, cournot_build, synthetic_build
 from moninc.solvers import (METHODS, SolverConfig, init_state, proxpoint_step,
                             risfbf_step, run, sa_step, seg_step, sfbf_step)
 from capture import run_with_points
@@ -252,6 +253,22 @@ class TestRun:
                 "without a positive mu")):
             run(problem(), "sfbf", dataclasses.replace(cfg, policy=pol),
                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rep, k", [(0, 1060), (2, 1012)])
+    def test_divergence_is_one_numeric_failure_without_warnings(self, rep, k):
+        # alpha = 0.1 at rho = 1 on the merely monotone group lasso blows up
+        prob = cap_build(seed=0)
+        pol = RegimePolicy(regime="custom", alpha=0.1, rho=1.0,
+                           lam=1.0 / (4.0 * prob.lipschitz))
+        cfg = SolverConfig(policy=pol, max_iters=3000)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericFailure) as info:
+                run(prob, "risfbf", cfg, np.random.default_rng([0, rep]))
+        assert caught == []
+        assert str(info.value).startswith(f"risfbf at k={k}, m_k=1, ")
+        assert "overflow" in str(info.value)
+        assert isinstance(info.value.__cause__, FloatingPointError)
 
     def test_iteration_budget_and_row_indexing(self):
         prob = _noisy_problem()

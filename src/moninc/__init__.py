@@ -44,9 +44,6 @@ from .policy import (
     RegimePolicy,
     alpha_at,
     lambda_strong,
-    rho_asymptotic,
-    rho_monotone,
-    rho_strong,
     schedule,
     schedule_at,
     validate,

@@ -149,7 +149,7 @@ def _cmd_bounds(args) -> int:
     L_tilde = lipschitz_tilde(L)
     _, lam, _ = schedule_at(policy, 1, L, mu)
     q = theory.contraction_q(policy.a, policy.b, lam, mu,
-                             policy.alpha_bar, L_tilde)
+                             policy.alpha, L_tilde)
     s = problem.oracle.variance_bound or 0.0
     B = theory.noise_envelope_B(s, policy.a, lam, L_tilde)
     print(f"L={L:.6g} L_tilde={L_tilde:.6g} mu={mu:.6g} lam={lam:.6g}")
@@ -171,15 +171,15 @@ def _cmd_bounds(args) -> int:
         p = float(schedule.p)
         p_hat = (p + 1.0) / 2.0 if p == q else None
         C = theory.geometric_constant(p, q, dist1_sq, alpha1,
-                                      policy.alpha_bar, B, p_hat)
+                                      policy.alpha, B, p_hat)
         print(f"geometric sampling p={p:.6g}: C={C:.6g}")
         for eps in (1e-3, 1e-4, 1e-5):
             tau = theory.tau_eps(p, q, C, eps, p_hat)
             cost = theory.oracle_cost(schedule, tau, 2)
             print(f"  eps={eps:g}: tau={tau} oracle_cost={cost}")
-    elif schedule.kind in ("polynomial", "scaled_polynomial"):
+    elif schedule.kind == "polynomial":
         c = theory.poly_rate_constant(q, schedule.theta, dist1_sq, alpha1,
-                                     policy.alpha_bar, B)
+                                     policy.alpha, B)
         print(f"polynomial sampling theta={schedule.theta:g}: "
               f"c={c:.6g} (envelope c/k^theta)")
     else:
@@ -217,16 +217,13 @@ def main(argv=None) -> int:
                 "bounds": _cmd_bounds, "variance": _cmd_variance}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, PolicyViolation, range checks
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

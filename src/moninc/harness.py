@@ -48,11 +48,9 @@ __all__ = [
     "run_experiment",
     "confidence_interval",
     "compare",
-    "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = solvers.COLUMNS
-_METRICS = CSV_COLUMNS[2:-1]  # the columns summarised across replications
+_METRICS = solvers.COLUMNS[2:-1]  # the columns summarised across reps
 
 # [problem] keys besides `kind`, per kind; each feeds problems.<kind>_build
 _PROBLEMS = {
@@ -302,8 +300,8 @@ def _fmt(v) -> str:
 
 
 def _cells(traj, i) -> list:
-    """Row i of a trajectory as CSV cells, in CSV_COLUMNS order."""
-    k, calls, *metrics = (getattr(traj, c)[i] for c in CSV_COLUMNS)
+    """Row i of a trajectory as CSV cells, in solvers.COLUMNS order."""
+    k, calls, *metrics = (getattr(traj, c)[i] for c in solvers.COLUMNS)
     return [int(k), int(calls), *map(_fmt, metrics)]
 
 
@@ -338,7 +336,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
             continue
         traj = result.trajectory
         _write_csv(os.path.join(config.out_dir, f"rep_{rep}.csv"),
-                   CSV_COLUMNS, (_cells(traj, i) for i in range(len(traj.k))))
+                   solvers.COLUMNS,
+                   (_cells(traj, i) for i in range(len(traj.k))))
         results.append(result)
         rows.append([rep, *_cells(traj, -1)])
     report = RunReport(
@@ -366,9 +365,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                         ("ci_hi", {m: ci[1] for m, ci in cis.items()})):
         rows.append([tag, "", "", *(_fmt(values.get(m)) for m in _METRICS),
                      ""])
-    rows.append(["failed", report.failures] + [""] * (len(CSV_COLUMNS) - 1))
+    rows.append(["failed", report.failures]
+                + [""] * (len(solvers.COLUMNS) - 1))
     _write_csv(os.path.join(config.out_dir, "summary.csv"),
-               ("rep",) + CSV_COLUMNS, rows)
+               ("rep",) + solvers.COLUMNS, rows)
     return report
 
 

@@ -52,9 +52,10 @@ class StochasticOracle:
 class BatchSchedule:
     """Batch-size rule m_k; produced sizes are >= 1 and non-decreasing.
 
-    kinds: constant(m), polynomial(theta) -> floor(k^theta),
-    geometric(p) -> floor(p^-k), scaled_polynomial(theta, scale n)
-    -> floor(k^theta / n).
+    kinds: constant(m); polynomial(theta, scale n >= 1) -> floor(k^theta / n);
+    geometric(p) -> floor(p^-k). The constructor polynomial(theta) builds
+    n = 1, which is floor(k^theta) exactly, and scaled_polynomial(theta, n)
+    builds the divisor n.
     """
 
     kind: str
@@ -70,14 +71,11 @@ class BatchSchedule:
         elif self.kind == "polynomial":
             if self.theta is None or self.theta <= 0:
                 raise ValueError("polynomial schedule needs theta > 0")
+            if self.scale is None or self.scale < 1:
+                raise ValueError("polynomial schedule needs scale n >= 1")
         elif self.kind == "geometric":
             if self.p is None or not (0.0 < self.p < 1.0):
                 raise ValueError("geometric schedule needs p in (0,1)")
-        elif self.kind == "scaled_polynomial":
-            if self.theta is None or self.theta <= 0:
-                raise ValueError("scaled_polynomial needs theta > 0")
-            if self.scale is None or self.scale < 1:
-                raise ValueError("scaled_polynomial needs scale n >= 1")
         else:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
@@ -87,7 +85,7 @@ class BatchSchedule:
 
     @staticmethod
     def polynomial(theta):
-        return BatchSchedule(kind="polynomial", theta=float(theta))
+        return BatchSchedule(kind="polynomial", theta=float(theta), scale=1.0)
 
     @staticmethod
     def geometric(p):
@@ -95,7 +93,7 @@ class BatchSchedule:
 
     @staticmethod
     def scaled_polynomial(theta, scale=1.0):
-        return BatchSchedule(kind="scaled_polynomial", theta=float(theta),
+        return BatchSchedule(kind="polynomial", theta=float(theta),
                              scale=float(scale))
 
 
@@ -110,9 +108,7 @@ def batch_size(schedule: BatchSchedule, k: int) -> int:
         raise ValueError("k must be >= 1")
     if schedule.kind == "constant":
         return int(schedule.m)
-    if schedule.kind == "polynomial":
-        return max(1, int(np.floor(float(k) ** schedule.theta)))
-    if schedule.kind == "scaled_polynomial":
+    if schedule.kind == "polynomial":  # dividing by scale = 1.0 is exact
         return max(1, int(np.floor(float(k) ** schedule.theta / schedule.scale)))
     # geometric: float evaluation unless the value sits within rounding
     # distance of an integer (or overflows), where the exact rational

@@ -14,9 +14,11 @@ relaxation rho_k evolve:
                       violated hypotheses of the closest regime
 
 lam and the custom rho are numbers, so a regime's hypotheses hold at every
-k exactly when they hold at k = 1. One table holds them: schedule() checks
-the fatal ones once and returns the law k -> (alpha_k, lam, rho_k), and
-validate() lists every violated one; neither alters a user's numbers.
+k exactly when they hold at k = 1. One table holds each regime's
+hypotheses and its relaxation formula (the _rho_* functions, each written
+once): schedule() checks the fatal hypotheses once and returns the law
+k -> (alpha_k, lam, rho_k), and validate() lists every violated one;
+neither alters a user's numbers.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ __all__ = [
     "PolicyViolation",
     "RegimePolicy",
     "alpha_at",
-    "rho_asymptotic",
-    "rho_strong",
-    "rho_monotone",
     "lambda_strong",
     "lipschitz_tilde",
     "schedule",
@@ -51,8 +50,8 @@ class RegimePolicy:
     """Declarative bundle of regime name and constants.
 
     alpha is the constant inertia in "constant" mode, or the supremum
-    alpha_0 in "increasing" mode where alpha_k = alpha_0 * (1 - 1/(k+1)).
-    alpha_bar (the upper bound used by the relaxation formulas) equals alpha.
+    alpha_0 in "increasing" mode where alpha_k = alpha_0 * (1 - 1/(k+1));
+    either way it is the bound alpha_bar >= alpha_k of the relaxation rules.
     lam is the constant step, or None for strongly_monotone's default; rho
     is the custom regime's constant relaxation. Both are numbers or None.
     """
@@ -78,10 +77,6 @@ class RegimePolicy:
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must lie in [0, 1)")
 
-    @property
-    def alpha_bar(self) -> float:
-        return self.alpha
-
 
 def alpha_at(policy: RegimePolicy, k: int) -> float:
     """Inertia at iteration k >= 1; increasing mode tends to alpha from below."""
@@ -90,53 +85,6 @@ def alpha_at(policy: RegimePolicy, k: int) -> float:
     if policy.alpha_mode == "constant":
         return policy.alpha
     return policy.alpha * (1.0 - 1.0 / (k + 1.0))
-
-
-def rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar) -> float:
-    """Relaxation for the small-step almost-sure convergence rule.
-
-    rho_k = 5 (1-eps_bar)(1-alpha_bar)^2
-            / (4 (2 alpha_k^2 - alpha_k + 1)(1 + L lam_k)),
-    valid only for lam_k in (0, 1/(4L)).
-    """
-    if not (0.0 < eps_bar < 1.0):
-        raise ValueError("eps_bar must lie in (0,1)")
-    if not (0.0 <= alpha_k <= alpha_bar < 1.0):
-        raise ValueError("need 0 <= alpha_k <= alpha_bar < 1")
-    _require((_LAM_POSITIVE, _ASYMPTOTIC_WINDOW), None, lam_k, L, None)
-    return _rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar)
-
-
-def rho_strong(alpha_k, lam, L_tilde, a, floor=False) -> float:
-    """Relaxation for the linear-rate regime.
-
-    rho_k = (3-a)(1-alpha_k)^2 / (2 (2 alpha_k^2 - alpha_k/2 + 1)(1 + L_tilde lam)).
-    With floor=True, returns instead the k-independent lower bound
-    16 (3-a)(1-alpha_bar)^2 / (31 (1 + L_tilde lam)), reading alpha_k as
-    alpha_bar. (31/16 is the minimum of 2(2t^2 - t/2 + 1) over t, at t=1/8.)
-    """
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0,1)")
-    if not (0.0 <= alpha_k < 1.0):
-        raise ValueError("alpha_k must lie in [0,1)")
-    if lam <= 0 or L_tilde < 0:
-        raise ValueError("need lam > 0 and L_tilde >= 0")
-    if floor:
-        return (16.0 * (3.0 - a) * (1.0 - alpha_k) ** 2
-                / (31.0 * (1.0 + L_tilde * lam)))
-    return _rho_strong(alpha_k, lam, L_tilde, a)
-
-
-def rho_monotone(alpha_k, lam, L, alpha_bar) -> float:
-    """Relaxation for the averaged-gap (merely monotone) rule.
-
-    rho_k = 3 (1-alpha_bar)^2 / (2 (2 alpha_k^2 - alpha_k + 1)(1 + L lam)),
-    valid for lam in (0, 1/(2L)); always < 3/(2(1+L lam)).
-    """
-    if not (0.0 <= alpha_k <= alpha_bar < 1.0):
-        raise ValueError("need 0 <= alpha_k <= alpha_bar < 1")
-    _require((_LAM_POSITIVE, _MONOTONE_GAP_WINDOW), None, lam, L, None)
-    return _rho_monotone(alpha_k, lam, L, alpha_bar)
 
 
 def lipschitz_tilde(L) -> float:
@@ -163,20 +111,37 @@ def _lambda_strong_tilde(mu, L_tilde, a, b):
     return min(a / (2.0 * mu), b * mu, (1.0 - a) / (2.0 * L_tilde))
 
 
-# The relaxation formulas unchecked: the regime table's laws call these,
-# since schedule() has checked the hypotheses once.
+# The relaxation formulas, unchecked: the regime table's laws call these
+# once schedule() has checked the regime's hypotheses.
 
 def _rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar):
+    """Relaxation for the small-step almost-sure convergence rule.
+
+    rho_k = 5 (1-eps_bar)(1-alpha_bar)^2
+            / (4 (2 alpha_k^2 - alpha_k + 1)(1 + L lam_k)),
+    for lam_k in (0, 1/(4L)) and 0 <= alpha_k <= alpha_bar < 1.
+    """
     return (5.0 * (1.0 - eps_bar) * (1.0 - alpha_bar) ** 2
             / (4.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam_k)))
 
 
 def _rho_strong(alpha_k, lam, L_tilde, a):
+    """Relaxation for the linear-rate regime.
+
+    rho_k = (3-a)(1-alpha_k)^2
+            / (2 (2 alpha_k^2 - alpha_k/2 + 1)(1 + L_tilde lam)),
+    for a in (0,1), lam > 0 and alpha_k in [0,1).
+    """
     return ((3.0 - a) * (1.0 - alpha_k) ** 2 / (2.0 * (
         2.0 * alpha_k ** 2 - 0.5 * alpha_k + 1.0) * (1.0 + L_tilde * lam)))
 
 
 def _rho_monotone(alpha_k, lam, L, alpha_bar):
+    """Relaxation for the averaged-gap (merely monotone) rule.
+
+    rho_k = 3 (1-alpha_bar)^2 / (2 (2 alpha_k^2 - alpha_k + 1)(1 + L lam)),
+    for lam in (0, 1/(2L)); always < 3/(2(1+L lam)).
+    """
     return (3.0 * (1.0 - alpha_bar) ** 2
             / (2.0 * (2.0 * alpha_k ** 2 - alpha_k + 1.0) * (1.0 + L * lam)))
 
@@ -230,8 +195,7 @@ class _Regime(NamedTuple):
 _REGIMES = {
     "asymptotic": _Regime(
         (_unit("eps_bar"), _ASYMPTOTIC_WINDOW),
-        lambda p, ak, lk, L: _rho_asymptotic(ak, lk, L, p.eps_bar,
-                                             p.alpha_bar)),
+        lambda p, ak, lk, L: _rho_asymptotic(ak, lk, L, p.eps_bar, p.alpha)),
     "larger_step": _Regime(
         ((lambda p, *_: p.alpha_mode == "constant",
           lambda *_: "larger_step regime assumes constant inertia", False),
@@ -250,7 +214,7 @@ _REGIMES = {
         default_lam=_strong_cap),
     "monotone_gap": _Regime(
         (_MONOTONE_GAP_WINDOW,),
-        lambda p, ak, lk, L: _rho_monotone(ak, lk, L, p.alpha_bar)),
+        lambda p, ak, lk, L: _rho_monotone(ak, lk, L, p.alpha)),
     "custom": _Regime(
         ((lambda p, *_: p.rho is not None,
           lambda *_: "custom regime without an explicit rho", True),),

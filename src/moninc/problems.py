@@ -42,33 +42,31 @@ __all__ = [
 class ProblemInstance:
     """Everything a solver or merit function needs to know about a problem.
 
-    solution is a point with zero residual when one is known (synthetic);
-    rel_error_fn maps an iterate to a scalar relative error when a ground
-    truth exists (synthetic, and the regression weights for the group-lasso
-    problem); affine_matrix/affine_shift are set when the mean operator is
-    exactly x -> M x + c, enabling the restricted dual gap.
+    initial_point samples the start from the replication stream, rng -> x0
+    (a fixed start draws nothing); solution is a point with zero residual
+    when one is known (synthetic); rel_error_fn maps an iterate to a scalar
+    relative error when a ground truth exists (synthetic, and the regression
+    weights for the group-lasso problem); affine_matrix/affine_shift are set
+    when the mean operator is exactly x -> M x + c, enabling the restricted
+    dual gap.
     """
 
     dim: int
     oracle: StochasticOracle
     resolvent: object
     lipschitz: float
+    initial_point: object
     strong_monotonicity: float = 0.0
     feasible: object = None
     solution: np.ndarray | None = None
     rel_error_fn: object = None
     affine_matrix: np.ndarray | None = None
     affine_shift: np.ndarray | None = None
-    initial_point: object = None
     detail: object = None
 
     def initial(self, rng) -> np.ndarray:
-        """Starting point; callables get the replication stream first."""
-        if callable(self.initial_point):
-            return np.asarray(self.initial_point(rng), dtype=np.float64)
-        if self.initial_point is not None:
-            return np.asarray(self.initial_point, dtype=np.float64).copy()
-        return np.zeros(self.dim)
+        """Starting point drawn from the replication stream rng."""
+        return np.asarray(self.initial_point(rng), dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +361,7 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
         rel_error_fn=lambda z: float(np.linalg.norm(z[:d] - w_true) / wn),
         affine_matrix=M,
         affine_shift=c,
-        initial_point=np.zeros(total),
+        initial_point=lambda rng_: np.zeros(total),
         detail=inst,
     )
 
@@ -388,7 +386,6 @@ class _AffineGaussianOracle(StochasticOracle):
         d = c.shape[0]
         self.dim = d
         self.mean = lambda x: M @ np.asarray(x, dtype=np.float64) + c
-        self.sigma = float(sigma)
         self.variance_bound = float(sigma)
         self.bias_bound = float(bias)
         self._coord_sigma = float(sigma) / np.sqrt(d)
@@ -396,7 +393,7 @@ class _AffineGaussianOracle(StochasticOracle):
 
     def batch(self, x, m, rng):
         v = self.mean(x)
-        if self.sigma > 0.0:
+        if self.variance_bound > 0.0:
             v = v + (self._coord_sigma / np.sqrt(m)) * \
                 rng.standard_normal(self.dim)
         if self.bias_bound > 0.0:
@@ -496,5 +493,5 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
         if xn > 0 else None,
         affine_matrix=M,
         affine_shift=c,
-        initial_point=np.zeros(d),
+        initial_point=lambda rng_: np.zeros(d),
     )

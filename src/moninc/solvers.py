@@ -356,8 +356,10 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         # a failed run returns no diagnostics, so its message keeps them
         hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"
                 if diagnostics else "")
-        with np.errstate(all="ignore"):  # a diverged iterate's norm overflows
-            norm = np.linalg.norm(state.X)
+        # scaled by max |x_i|, as x.x overflows long before x does
+        top = float(np.max(np.abs(state.X)))
+        norm = (top * float(np.linalg.norm(state.X / top))
+                if 0.0 < top < np.inf else top)
         raise NumericFailure(f"{method} at k={k}, m_k={m_k}, "
                              f"||X||={norm:.6g}: {exc}{hint}") from exc
 

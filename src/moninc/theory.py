@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .oracle import BatchSchedule, batch_size
-from .policy import _lambda_strong_tilde, rho_strong
+from .policy import _lambda_strong_tilde, _rho_strong
 
 __all__ = [
     "contraction_q",
@@ -29,10 +29,11 @@ def contraction_q(a: float, b: float, lam: float, mu: float,
                   alpha_bar: float, L_tilde: float) -> float:
     """Contraction factor q = 1 - rho*eta of the expected energy recursion.
 
-    rho is the floor relaxation 16(3-a)(1-abar)^2 / (31(1+Ltilde*lam))
-    (policy.rho_strong with floor=True) and eta = (1-b)*lam*mu. Arguments
-    must lie in the strongly monotone regime ranges, with lam at most
-    lambda_strong = min{a/(2 mu), b mu, (1-a)/(2 Ltilde)}.
+    rho is the floor relaxation 16(3-a)(1-abar)^2 / (31(1+Ltilde*lam)): the
+    linear-rate rule policy._rho_strong at alpha_k = abar, with the factor
+    2(2t^2 - t/2 + 1) at its minimum 31/16 (t = 1/8); eta = (1-b)*lam*mu.
+    Arguments must lie in the strongly monotone regime ranges, with lam at
+    most lambda_strong = min{a/(2 mu), b mu, (1-a)/(2 Ltilde)}.
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ValueError("a and b must lie in (0,1)")
@@ -44,7 +45,8 @@ def contraction_q(a: float, b: float, lam: float, mu: float,
     if lam > lam_max * (1.0 + 1e-12):
         raise ValueError(
             f"lam={lam:g} exceeds the admissible step {lam_max:g}")
-    rho = rho_strong(alpha_bar, lam, L_tilde, a, floor=True)
+    rho = (16.0 * (3.0 - a) * (1.0 - alpha_bar) ** 2
+           / (31.0 * (1.0 + L_tilde * lam)))
     eta = (1.0 - b) * lam * mu
     return 1.0 - rho * eta
 
@@ -54,11 +56,11 @@ def noise_envelope_B(s: float, a: float, lam: float, L_tilde: float) -> float:
 
     s is the oracle's variance bound (sup over the feasible set of the
     standard deviation of one draw); rho_bar = (3-a)/(2(1+Ltilde lam)) is
-    policy.rho_strong at alpha_k = 0.
+    the linear-rate rule policy._rho_strong at alpha_k = 0.
     """
     if s < 0 or lam <= 0 or L_tilde <= 0 or not 0.0 < a < 1.0:
         raise ValueError("need s >= 0, lam > 0, L_tilde > 0, a in (0,1)")
-    rho_bar = rho_strong(0.0, lam, L_tilde, a)
+    rho_bar = _rho_strong(0.0, lam, L_tilde, a)
     return 2.0 * rho_bar * s * s * (1.0 + 2.0 * (3.0 - a) * lam * lam
                                     / (1.0 + L_tilde * lam))
 

@@ -16,10 +16,9 @@ import moninc.problems as problems
 import moninc.solvers as solvers
 import moninc.theory as theory
 from moninc.core import NumericFailure
-from moninc.harness import (CSV_COLUMNS, ConfigError, ExperimentConfig,
-                            compare, confidence_interval, load_config,
-                            run_experiment)
-from moninc.oracle import BatchSchedule
+from moninc.harness import (ConfigError, ExperimentConfig, compare,
+                            confidence_interval, load_config, run_experiment)
+from moninc.oracle import BatchSchedule, batch_size
 from moninc.policy import PolicyViolation, alpha_at
 
 SYNTHETIC_PROBLEM = ("kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
@@ -177,6 +176,20 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="batch_theta"):
             _load(tmp_path, missing).build_batches()
 
+    def test_polynomial_is_scaled_polynomial_at_scale_one(self, tmp_path):
+        for theta in (1.01, 1.1, 1.5):
+            poly = BatchSchedule.polynomial(theta)
+            assert poly == BatchSchedule.scaled_polynomial(theta, 1)
+            # dividing by scale = 1.0 is exact: m_k = floor(k^theta) bitwise
+            assert [batch_size(poly, k) for k in range(1, 10_001)] == [
+                max(1, int(np.floor(float(k) ** theta)))
+                for k in range(1, 10_001)]
+        text = BASE_INI.replace("batch_kind = constant\nbatch_m = 2",
+                                "batch_kind = scaled_polynomial\n"
+                                "batch_theta = 1.1")
+        assert _load(tmp_path, text).build_batches() == \
+            BatchSchedule.polynomial(1.1)
+
     def test_missing_builder_key_is_named(self, tmp_path):
         text = BASE_INI.replace(SYNTHETIC_PROBLEM, "kind = cournot")
         with pytest.raises(ConfigError, match="'l_v'"):
@@ -256,7 +269,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         for rep in range(3):
             rows = _read_csv(out / f"rep_{rep}.csv")
-            assert tuple(rows[0]) == CSV_COLUMNS
+            assert tuple(rows[0]) == solvers.COLUMNS
             assert int(rows[-1][0]) == 41          # final iterate index
             assert len(rows) == 1 + 9              # k = 1, 6, ..., 41
         summary = _read_csv(out / "summary.csv")
@@ -270,7 +283,7 @@ class TestRunExperiment:
         finals = []
         for rep in range(3):
             rows = _read_csv(tmp_path / "out" / f"rep_{rep}.csv")
-            finals.append(float(rows[-1][CSV_COLUMNS.index("residual")]))
+            finals.append(float(rows[-1][solvers.COLUMNS.index("residual")]))
         assert report.means["residual"] == pytest.approx(
             float(np.mean(finals)), abs=1e-15)
         summary = _read_csv(tmp_path / "out" / "summary.csv")
@@ -285,7 +298,7 @@ class TestRunExperiment:
         for rep in range(3):
             rows_a = _read_csv(tmp_path / "a" / f"rep_{rep}.csv")
             rows_b = _read_csv(tmp_path / "b" / f"rep_{rep}.csv")
-            wall = CSV_COLUMNS.index("wall_time_s")
+            wall = solvers.COLUMNS.index("wall_time_s")
             for ra, rb in zip(rows_a, rows_b):
                 ra[wall] = rb[wall] = ""
             assert rows_a == rows_b
@@ -300,7 +313,7 @@ class TestRunExperiment:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         run_experiment(_load(tmp_path, out_dir=str(tmp_path / "w"),
                              workers=2))
-        assert CSV_COLUMNS[-1] == "wall_time_s"
+        assert solvers.COLUMNS[-1] == "wall_time_s"
         for name in ("summary.csv", "rep_0.csv", "rep_1.csv", "rep_2.csv"):
             a, b = (_read_csv(tmp_path / d / name) for d in ("s", "w"))
             for ra, rb in zip(a, b):
@@ -459,7 +472,6 @@ REDUCTION_B = REDUCTION_A.replace(
 
 class TestOneRowFormat:
     def test_csv_columns_are_the_trajectory_columns(self):
-        assert harness.CSV_COLUMNS is solvers.COLUMNS
         names = tuple(f.name for f in dataclasses.fields(solvers.Trajectory))
         assert names[:len(solvers.COLUMNS)] == solvers.COLUMNS
         assert names == solvers.COLUMNS + ("residual_estimated",)
@@ -477,7 +489,7 @@ class TestOneRowFormat:
         run_experiment(_load(tmp_path))
         out = tmp_path / "out"
         summary = _read_csv(out / "summary.csv")
-        assert tuple(summary[0]) == ("rep",) + CSV_COLUMNS
+        assert tuple(summary[0]) == ("rep",) + solvers.COLUMNS
         rep_rows = [row for row in summary[1:] if row[0].isdigit()]
         assert [row[0] for row in rep_rows] == ["0", "2"]
         for row in rep_rows:

@@ -8,76 +8,47 @@ from moninc.policy import (
     alpha_at,
     lambda_strong,
     lipschitz_tilde,
-    rho_asymptotic,
-    rho_monotone,
-    rho_strong,
     schedule,
     schedule_at,
     validate,
 )
-
-
-# Hand-evaluated reference points for the relaxation formulas.
-
-def test_rho_asymptotic_reference_value():
-    # 5(1-0.1)(1-0.5)^2 / (4 (2*0.25-0.5+1)(1+0.2))
-    r = rho_asymptotic(0.5, 0.2, 1.0, eps_bar=0.1, alpha_bar=0.5)
-    assert r == pytest.approx(0.234375, abs=1e-12)
-
-
-def test_rho_asymptotic_step_range_enforced():
-    with pytest.raises(PolicyViolation):
-        rho_asymptotic(0.1, 0.25, 1.0, 0.1, 0.1)  # lam = 1/(4L) not allowed
-    with pytest.raises(PolicyViolation):
-        rho_asymptotic(0.1, -0.1, 1.0, 0.1, 0.1)
+from moninc.theory import contraction_q
 
 
 def test_rho_asymptotic_decreases_in_joint_alpha():
     # heavier inertia (alpha = alpha_bar moving together) always leaves
     # less room for relaxation
-    vals = [rho_asymptotic(a, 0.1, 1.0, 0.1, a) for a in
-            (0.0, 0.3, 0.6, 0.9)]
+    vals = [schedule_at(RegimePolicy(regime="asymptotic", alpha=a, lam=0.1),
+                        1, L=1.0)[2] for a in (0.0, 0.3, 0.6, 0.9)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
-def test_rho_strong_reference_value():
-    # (3-0.5)(1-0.1)^2 / (2 (2*0.01-0.05+1)(1+0.25))
-    r = rho_strong(0.1, 0.25, 1.0, a=0.5)
-    assert r == pytest.approx(0.8350515463917526, abs=1e-12)
-
-
-def test_rho_strong_floor_value():
-    # 16(3-0.5)(1-0.1)^2 / (31 (1+0.25))
-    r = rho_strong(0.1, 0.25, 1.0, a=0.5, floor=True)
-    assert r == pytest.approx(0.8361290322580646, abs=1e-12)
-
-
 def test_rho_strong_floor_vs_exact():
-    # the fixed-relaxation variant replaces 2(2a^2 - a/2 + 1) by its
-    # minimum 31/16 (attained at a = 1/8), so at alpha = alpha_bar it
-    # sits above the alpha-dependent formula, with equality at 1/8
-    for lam_L in (0.1, 0.25, 0.5):
+    # the floor relaxation in contraction_q, rho = (1-q)/((1-b) lam mu),
+    # replaces 2(2a^2 - a/2 + 1) by its minimum 31/16 (attained at
+    # a = 1/8), so at alpha = alpha_bar it sits above the alpha-dependent
+    # formula, with equality at 1/8
+    def floor(a_bar, lam):
+        q = contraction_q(a=0.5, b=0.5, lam=lam, mu=1.0, alpha_bar=a_bar,
+                          L_tilde=1.0)
+        return (1.0 - q) / (0.5 * lam * 1.0)
+
+    for lam_L in (0.1, 0.2, 0.25):
         for a_bar in (0.0, 0.1, 0.3, 0.7):
-            exact = rho_strong(a_bar, lam_L, 1.0, 0.5)
-            fixed = rho_strong(a_bar, lam_L, 1.0, 0.5, floor=True)
+            exact = policy_mod._rho_strong(a_bar, lam_L, 1.0, 0.5)
+            fixed = floor(a_bar, lam_L)
             ratio = (32.0 / 31.0) * (2 * a_bar ** 2 - 0.5 * a_bar + 1)
             assert fixed == pytest.approx(exact * ratio, rel=1e-12)
             assert fixed >= exact - 1e-12
-        eq = rho_strong(0.125, lam_L, 1.0, 0.5, floor=True)
-        assert eq == pytest.approx(rho_strong(0.125, lam_L, 1.0, 0.5),
-                                   rel=1e-12)
+        assert floor(0.125, lam_L) == pytest.approx(
+            policy_mod._rho_strong(0.125, lam_L, 1.0, 0.5), rel=1e-12)
 
 
 def test_rho_monotone_reference_values():
-    r = rho_monotone(0.1, 0.1, 2.5, alpha_bar=0.1)
-    assert r == pytest.approx(1.0565217391304347, abs=1e-12)
-    r = rho_monotone(0.85, 0.1, 2.5, alpha_bar=0.85)
-    assert r == pytest.approx(0.016927899686520376, abs=1e-12)
-
-
-def test_rho_monotone_step_range():
-    with pytest.raises(PolicyViolation):
-        rho_monotone(0.1, 0.2, 2.5, 0.1)  # lam = 1/(2L) excluded
+    for alpha, want in ((0.1, 1.0565217391304347),
+                        (0.85, 0.016927899686520376)):
+        pol = RegimePolicy(regime="monotone_gap", alpha=alpha, lam=0.1)
+        assert schedule_at(pol, 1, L=2.5)[2] == pytest.approx(want, abs=1e-12)
 
 
 def test_lambda_strong_reference_value():
@@ -132,13 +103,16 @@ def test_steps_are_numbers_not_callables(field):
         RegimePolicy(regime="custom", alpha=0.1, **{"lam": 0.1, **field})
 
 
+# the formulas are the _rho_* functions, each written once in policy.py
 @pytest.mark.parametrize("regime, L, mu, formula", [
     ("asymptotic", 1.0, None,
-     lambda p, ak, lam, L: rho_asymptotic(ak, lam, L, p.eps_bar, p.alpha_bar)),
+     lambda p, ak, lam, L: policy_mod._rho_asymptotic(ak, lam, L, p.eps_bar,
+                                                      p.alpha)),
     ("strongly_monotone", np.sqrt(0.5), 1.0,
-     lambda p, ak, lam, L: rho_strong(ak, lam, lipschitz_tilde(L), p.a)),
+     lambda p, ak, lam, L: policy_mod._rho_strong(ak, lam, lipschitz_tilde(L),
+                                                  p.a)),
     ("monotone_gap", 1.0, None,
-     lambda p, ak, lam, L: rho_monotone(ak, lam, L, p.alpha_bar)),
+     lambda p, ak, lam, L: policy_mod._rho_monotone(ak, lam, L, p.alpha)),
 ])
 def test_schedule_checks_once_and_its_law_is_the_public_formulas(
         monkeypatch, regime, L, mu, formula):
@@ -169,16 +143,20 @@ def test_schedule_at_larger_step():
 
 
 def test_relaxation_schedules_stay_in_range_over_grid():
+    def rho(regime, alpha, lam, L=1.0, mu=None):
+        pol = RegimePolicy(regime=regime, alpha=alpha, lam=lam)
+        return schedule_at(pol, 1, L, mu)[2]
+
     for alpha in (0.0, 0.2, 0.5, 0.8):
         for lam_L in (0.05, 0.12, 0.2):
-            r = rho_asymptotic(alpha, lam_L, 1.0, 0.1, alpha)
-            assert 0.0 < r < 1.5
+            assert 0.0 < rho("asymptotic", alpha, lam_L) < 1.5
     for alpha in (0.0, 0.3, 0.6):
         for lam_L in (0.1, 0.3, 0.45):
-            assert 0.0 < rho_monotone(alpha, lam_L, 1.0, alpha) < 1.5
+            assert 0.0 < rho("monotone_gap", alpha, lam_L) < 1.5
     for alpha in (0.0, 0.3, 0.6):
-        for lam_L in (0.1, 0.5, 1.0):
-            assert 0.0 < rho_strong(alpha, lam_L, 1.0, 0.5) <= 2.0
+        for lam_L in (0.1, 0.5, 1.0):  # L_tilde = 1; the step cap is advisory
+            r = rho("strongly_monotone", alpha, lam_L, np.sqrt(0.5), 1.0)
+            assert 0.0 < r <= 2.0
 
 
 def test_sign_condition_under_asymptotic_rule():
@@ -187,7 +165,8 @@ def test_sign_condition_under_asymptotic_rule():
     for alpha_bar in (0.05, 0.3, 0.6, 0.9):
         for lam_L in (0.02, 0.1, 0.2):
             for a_k in np.linspace(0.0, alpha_bar, 25):
-                rho = rho_asymptotic(a_k, lam_L, 1.0, 0.1, alpha_bar)
+                rho = policy_mod._rho_asymptotic(a_k, lam_L, 1.0, 0.1,
+                                                 alpha_bar)
                 lhs = 2 * a_k ** 2 + (1 - a_k) * (
                     1 - 5 * (1 - a_k) / (4 * rho * (1 + lam_L)))
                 assert lhs <= 1e-12

@@ -6,8 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import moninc.cli as cli
+import moninc.harness as harness
 import moninc.merit as merit
 import moninc.policy as policy_mod
+import moninc.problems as problems
 import moninc.solvers as solvers
 from moninc.core import BoxResolvent, BoxSet, NumericFailure
 from moninc.merit import GapRegion, dual_gap_affine, energy_H
@@ -269,6 +272,28 @@ class TestRun:
         assert str(info.value).startswith(f"risfbf at k={k}, m_k=1, ")
         assert "overflow" in str(info.value)
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+    def test_diverged_iterate_norm_is_reported_without_overflow(
+            self, monkeypatch):
+        # a step far above lambda_strong diverges; at the failure X is
+        # finite (max |x_i| ~ 7.7e153) while x.x has overflowed
+        prob = synthetic_build(dim=20, mu=1.0, skew_norm=1.0, sigma=0.5,
+                               seed=5)
+        pol = RegimePolicy(regime="strongly_monotone", alpha=0.1, lam=1e6)
+        states = []
+        step = solvers.risfbf_step
+        monkeypatch.setattr(solvers, "risfbf_step",
+                            lambda state, *a: states.append(state)
+                            or step(state, *a))
+        with pytest.raises(NumericFailure) as info:
+            run(prob, "risfbf", SolverConfig(policy=pol, max_iters=5000),
+                np.random.default_rng([0, 0]))
+        X = states[-1].X
+        top = np.max(np.abs(X))
+        assert np.isfinite(top)
+        want = top * np.linalg.norm(X / top)
+        assert f"risfbf at k=564, m_k=1, ||X||={want:.6g}: " in str(info.value)
+        assert np.isfinite(want)
 
     def test_iteration_budget_and_row_indexing(self):
         prob = _noisy_problem()
@@ -549,9 +574,22 @@ class TestMethodTable:
                           for name in STEP_NAMES}
 
     def test_traced_names_stay_module_attributes(self):
-        # perfbench/tracing.py wraps these by name on moninc.solvers
-        for name in STEP_NAMES + ("minibatch_estimate", "batch_size"):
-            assert callable(getattr(solvers, name)), name
+        # perfbench/tracing.py wraps these by name, so each must stay an
+        # attribute of its module that the code calls through
+        traced = {
+            solvers: STEP_NAMES + ("minibatch_estimate", "batch_size",
+                                   "run"),
+            policy_mod: ("schedule_at", "validate"),
+            merit: ("minibatch_estimate", "residual", "dual_gap_affine",
+                    "energy_H"),
+            problems: ("cap_apply_L", "cap_apply_L_adjoint"),
+            harness: ("run", "run_experiment"),
+            harness.ExperimentConfig: ("build_problem",),
+            cli: ("compare",),
+        }
+        for owner, names in traced.items():
+            for name in names:
+                assert callable(getattr(owner, name)), (owner, name)
 
 
 class TestConvergenceSmoke:

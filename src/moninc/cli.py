@@ -178,8 +178,9 @@ def _cmd_bounds(args) -> int:
             cost = theory.oracle_cost(schedule, tau, 2)
             print(f"  eps={eps:g}: tau={tau} oracle_cost={cost}")
     elif schedule.kind == "polynomial":
+        # m_k ~ k^theta / n, so the noise per step is about n B / k^theta
         c = theory.poly_rate_constant(q, schedule.theta, dist1_sq, alpha1,
-                                     policy.alpha, B)
+                                     policy.alpha, schedule.scale * B)
         print(f"polynomial sampling theta={schedule.theta:g}: "
               f"c={c:.6g} (envelope c/k^theta)")
     else:

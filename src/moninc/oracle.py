@@ -143,15 +143,17 @@ def minibatch_estimate(oracle: StochasticOracle, x, m: int, rng):
 
 def empirical_variance(oracle: StochasticOracle, x, m: int, repeats: int,
                        rng) -> float:
-    """Sample variance of ||estimate - mean(x)|| over independent batches."""
+    """Mean of ||estimate - mean(x)||^2 over independent size-m batches.
+
+    This estimates the quantity that variance_bound bounds, so an unbiased
+    oracle should give at most about variance_bound^2 / m.
+    """
     if repeats < 2:
         raise ValueError("empirical_variance needs repeats >= 2")
     if oracle.mean is None:
         raise UnsupportedOperation(
             "oracle lacks an exact mean; empirical variance undefined")
     v = np.asarray(oracle.mean(x), dtype=np.float64)
-    norms = np.empty(repeats)
-    for i in range(repeats):
-        est = minibatch_estimate(oracle, x, m, rng)
-        norms[i] = np.linalg.norm(est - v)
-    return float(np.var(norms, ddof=1))
+    sq = [np.sum((minibatch_estimate(oracle, x, m, rng) - v) ** 2)
+          for _ in range(repeats)]
+    return float(np.mean(sq))

@@ -42,20 +42,20 @@ __all__ = [
 class ProblemInstance:
     """Everything a solver or merit function needs to know about a problem.
 
-    initial_point samples the start from the replication stream, rng -> x0
-    (a fixed start draws nothing); solution is a point with zero residual
-    when one is known (synthetic); rel_error_fn maps an iterate to a scalar
-    relative error when a ground truth exists (synthetic, and the regression
-    weights for the group-lasso problem); affine_matrix/affine_shift are set
-    when the mean operator is exactly x -> M x + c, enabling the restricted
-    dual gap.
+    initial samples the start from the replication stream, rng -> x0 as a
+    float64 array (a fixed start draws nothing); solution is a point with
+    zero residual when one is known (synthetic); rel_error_fn maps an iterate
+    to a scalar relative error when a ground truth exists (synthetic, and the
+    regression weights for the group-lasso problem); affine_matrix/
+    affine_shift are set when the mean operator is exactly x -> M x + c,
+    enabling the restricted dual gap.
     """
 
     dim: int
     oracle: StochasticOracle
     resolvent: object
     lipschitz: float
-    initial_point: object
+    initial: object
     strong_monotonicity: float = 0.0
     feasible: object = None
     solution: np.ndarray | None = None
@@ -63,10 +63,6 @@ class ProblemInstance:
     affine_matrix: np.ndarray | None = None
     affine_shift: np.ndarray | None = None
     detail: object = None
-
-    def initial(self, rng) -> np.ndarray:
-        """Starting point drawn from the replication stream rng."""
-        return np.asarray(self.initial_point(rng), dtype=np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +164,7 @@ def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
         lipschitz=float(L_V_target),
         strong_monotonicity=float(np.min(b_hat) + r),
         feasible=box,
-        initial_point=lambda rng_: rng_.uniform(0.0, 1.0, n_firms),
+        initial=lambda rng_: rng_.uniform(0.0, 1.0, n_firms),
         detail=inst,
     )
 
@@ -361,7 +357,7 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
         rel_error_fn=lambda z: float(np.linalg.norm(z[:d] - w_true) / wn),
         affine_matrix=M,
         affine_shift=c,
-        initial_point=lambda rng_: np.zeros(total),
+        initial=lambda rng_: np.zeros(total),
         detail=inst,
     )
 
@@ -493,5 +489,5 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
         if xn > 0 else None,
         affine_matrix=M,
         affine_shift=c,
-        initial_point=lambda rng_: np.zeros(d),
+        initial=lambda rng_: np.zeros(d),
     )

@@ -23,6 +23,8 @@ from moninc.policy import PolicyViolation, alpha_at
 
 SYNTHETIC_PROBLEM = ("kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
                      "sigma = 0.2\nseed = 3")
+SCALED_PROBLEM = ("kind = synthetic\ndim = 20\nmu = 1.0\nskew = 1.0\n"
+                  "sigma = 0.5\nseed = 5")
 
 BASE_INI = """\
 [problem]
@@ -655,17 +657,43 @@ class TestCli:
         assert "contraction q=" in out
         assert "oracle_cost=" in out
 
-    @pytest.mark.parametrize("batches, line", [
+    @pytest.mark.parametrize("batches, line, problem", [
         ("batch_kind = polynomial\nbatch_theta = 1.5",
-         "polynomial sampling theta=1.5: c="),
-        ("batch_kind = constant\nbatch_m = 2", "constant batches:")])
+         "polynomial sampling theta=1.5: c=", SYNTHETIC_PROBLEM),
+        ("batch_kind = constant\nbatch_m = 2", "constant batches:",
+         SYNTHETIC_PROBLEM),
+        # m_k = floor(k^theta / n) scales the noise term by the divisor n
+        pytest.param("batch_kind = scaled_polynomial\nbatch_theta = 1.1\n"
+                     "batch_scale = 1", "theta=1.1: c=2108.25 ",
+                     SCALED_PROBLEM, id="scaled_polynomial-n1"),
+        pytest.param("batch_kind = scaled_polynomial\nbatch_theta = 1.1\n"
+                     "batch_scale = 20", "theta=1.1: c=2835.45 ",
+                     SCALED_PROBLEM, id="scaled_polynomial-n20")])
     def test_bounds_envelope_follows_the_batch_schedule(self, tmp_path,
                                                         capsys, batches,
-                                                        line):
+                                                        line, problem):
         path = _write(tmp_path, BASE_INI.replace(
-            "batch_kind = constant\nbatch_m = 2", batches))
+            "batch_kind = constant\nbatch_m = 2", batches).replace(
+            SYNTHETIC_PROBLEM, problem))
         assert cli.main(["bounds", path]) == 0
         assert line in capsys.readouterr().out
+
+    def test_bounds_without_a_regime_exit_one(self, tmp_path, capsys):
+        path = _write(tmp_path, REDUCTION_B)
+        assert cli.main(["bounds", path]) == 1
+        assert "bounds needs a [solver] regime" in capsys.readouterr().err
+
+    def test_bounds_without_a_solution_stops_after_the_constants(
+            self, tmp_path, capsys):
+        text = BASE_INI.replace(SYNTHETIC_PROBLEM,
+                                "kind = cournot\nl_v = 100").replace(
+            "batch_kind = constant\nbatch_m = 2",
+            "batch_kind = geometric\nbatch_p = 0.97")
+        assert cli.main(["bounds", _write(tmp_path, text)]) == 0
+        out = capsys.readouterr().out
+        assert "contraction q=" in out
+        assert "no reference solution on this problem" in out
+        assert "sampling" not in out
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--workers", "2"], ["bounds", "--replications", "7"],
@@ -718,3 +746,39 @@ class TestCli:
         assert cli.main(["variance", path, "--repeats", "100"]) == 0
         out = capsys.readouterr().out
         assert "log-log slope" in out
+
+    def test_variance_of_a_noiseless_oracle(self, tmp_path, capsys):
+        path = _write(tmp_path, BASE_INI.replace("sigma = 0.2", "sigma = 0"))
+        assert cli.main(["variance", path, "--repeats", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "zero variance; noiseless oracle" in out
+        assert "log-log slope" not in out
+
+    @staticmethod
+    def _patch_synthetic_oracle(monkeypatch, **attrs):
+        real = problems.synthetic_build
+
+        @functools.wraps(real)
+        def build(**kwargs):
+            prob = real(**kwargs)
+            for name, value in attrs.items():
+                setattr(prob.oracle, name, value)
+            return prob
+
+        monkeypatch.setattr(problems, "synthetic_build", build)
+
+    def test_variance_needs_an_exact_mean(self, tmp_path, capsys,
+                                          monkeypatch):
+        self._patch_synthetic_oracle(monkeypatch, mean=None)
+        assert cli.main(["variance", _write(tmp_path, BASE_INI)]) == 1
+        assert ("config error: variance sweep needs an oracle with exact "
+                "mean") in capsys.readouterr().err
+
+    def test_variance_with_a_non_finite_batch_exit_two(self, tmp_path,
+                                                       capsys, monkeypatch):
+        self._patch_synthetic_oracle(
+            monkeypatch, batch=lambda x, m, rng: np.full(8, np.nan))
+        assert cli.main(["variance", _write(tmp_path, BASE_INI)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:")
+        assert "non-finite" in err

@@ -23,6 +23,8 @@ __all__ = [
     "operator_norm",
 ]
 
+_NORM_ITERS, _NORM_TOL = 200, 1e-12  # operator_norm's power-iteration stop
+
 
 class NumericFailure(RuntimeError):
     """A non-finite value surfaced where finite arithmetic was required."""
@@ -125,27 +127,24 @@ class BoxResolvent(ResolventMap):
         return project_box(x, self.box)
 
 
-def operator_norm(apply, apply_adjoint, dim: int, iters: int = 200,
-                  tol: float = 1e-12) -> float:
+def operator_norm(apply, apply_adjoint, dim: int) -> float:
     """Spectral norm of a linear map via power iteration on adjoint(apply(.)).
 
     The starting vector is deterministic (normalized all-ones) so that
     Lipschitz estimates feeding step sizes are reproducible. Stops when the
-    eigenvalue estimate changes by at most tol, or after `iters` steps.
-    A zero map returns 0.
+    eigenvalue estimate changes by at most a relative 1e-12, or after 200
+    steps. A zero map returns 0.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     v = np.ones(dim) / np.sqrt(dim)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_NORM_ITERS):
         w = apply_adjoint(apply(v))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
         new_est = float(v @ w)  # Rayleigh quotient for the PSD composition
         v = w / nw
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        if abs(new_est - est) <= _NORM_TOL * max(1.0, abs(new_est)):
             est = new_est
             break
         est = new_est

@@ -7,9 +7,10 @@ key -> (type, parameter it sets): [problem] keys feed the kind's builder in
 constructor that batch_kind names, and SolverConfig, and [output]/[meta]
 keys feed ExperimentConfig. An omitted key takes the default of the builder
 or dataclass it feeds. Unknown sections or keys, keys that the chosen batch
-schedule does not read, policy keys other than lam without a regime, and
-missing builder parameters without a default are hard errors, so typos
-cannot silently change an experiment. run_experiment runs the configured
+schedule does not read, policy keys other than lam without a regime,
+missing builder parameters without a default, and a method the config
+cannot run (solvers.check_method) are hard errors, so typos cannot
+silently change an experiment. run_experiment runs the configured
 replications in order on the calling thread, each on a stream derived from
 (global seed, replication index), writes one trajectory CSV per
 replication plus a summary CSV, and returns an aggregated report; a
@@ -243,9 +244,6 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
                             for name in ("solver", "output", "meta"))
     if "method" not in solver:
         raise ConfigError(f"{path}: [solver] needs a method")
-    if solver["method"] not in solvers.METHODS:
-        raise ConfigError(
-            f"{path}: unknown method {solver['method']!r}")
     if "regime" not in solver:
         # lam alone is the step of the plain methods
         unread = [k for k in _POLICY_KEYS if k in solver and k != "lam"]
@@ -264,7 +262,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     try:
         cfg._builder_call()
-        cfg.build_solver_config()
+        solvers.check_method(cfg.method, cfg.build_solver_config())
     except ValueError as exc:  # ConfigError, or a policy or batch range check
         # name the INI keys, not SolverConfig's fields
         msg = re.sub(r"\w+", lambda w: _FIELD_KEYS.get(w[0], w[0]), str(exc))

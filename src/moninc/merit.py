@@ -24,6 +24,8 @@ __all__ = [
     "energy_H",
 ]
 
+_GAP_TOL, _GAP_MAX_ITERS = 1e-10, 20_000  # dual_gap_affine's ascent stop
+
 
 def residual(problem, x, lam: float, rng=None, est_batch: int = 10_000):
     """Fixed-point residual at step lam.
@@ -142,13 +144,12 @@ class GapRegion:
         return ball.center + (ball.radius / ng) * g
 
 
-def dual_gap_affine(problem, x, region: GapRegion, max_iters: int = 20_000,
-                    tol: float = 1e-10):
+def dual_gap_affine(problem, x, region: GapRegion):
     """Restricted dual gap sup_{p in C} <M p + c, x - p> for affine means.
 
     The inner problem is concave (monotone M); projected gradient ascent
     with fixed step 1/||M + M^T|| runs from the region anchor until the
-    objective change drops below tol or the budget runs out. When M is
+    objective changes by at most 1e-10, or for 20,000 steps. When M is
     exactly skew the objective is linear in p and the maximizer is taken in
     closed form. The value is clipped at zero only when x lies in C, where
     the gap is guaranteed nonnegative.
@@ -176,11 +177,11 @@ def dual_gap_affine(problem, x, region: GapRegion, max_iters: int = 20_000,
         step = 1.0 / sym_norm
         g0 = M.T @ x - c
         val = objective(p)
-        for _ in range(max_iters):
+        for _ in range(_GAP_MAX_ITERS):
             grad = g0 - sym @ p
             p = region.project(p + step * grad)
             new_val = objective(p)
-            if abs(new_val - val) <= tol:
+            if abs(new_val - val) <= _GAP_TOL:
                 val = new_val
                 break
             val = new_val

@@ -14,18 +14,20 @@ relaxation rho_k evolve:
                       violated hypotheses of the closest regime
 
 lam and the custom rho are numbers, so a regime's hypotheses hold at every
-k exactly when they hold at k = 1. One table holds each regime's
-hypotheses and its relaxation formula (the _rho_* functions, each written
-once): schedule() checks the fatal hypotheses once and returns the law
-k -> (alpha_k, lam, rho_k), and validate() lists every violated one;
-neither alters a user's numbers.
+k exactly when they hold at k = 1. One function, _broken(), states each
+regime's hypotheses as plain conditions and yields each one a policy
+breaks; _common() holds the two every regime shares. schedule() raises on
+the first fatal one, once, and returns the law k -> (alpha_k, lam, rho_k)
+built on the regime's relaxation formula (the _rho_* functions, each
+written once); validate() lists every broken one, advisory ones included.
+Neither alters a user's numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,7 +72,7 @@ class RegimePolicy:
         for value in (self.lam, self.rho):
             if value is not None and not isinstance(value, Real):
                 raise TypeError("lam and rho must each be a number or None")
-        if self.regime not in _REGIMES:
+        if self.regime not in _RELAXATION:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.alpha_mode not in ("constant", "increasing"):
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
@@ -111,7 +113,7 @@ def _lambda_strong_tilde(mu, L_tilde, a, b):
     return min(a / (2.0 * mu), b * mu, (1.0 - a) / (2.0 * L_tilde))
 
 
-# The relaxation formulas, unchecked: the regime table's laws call these
+# The relaxation formulas, unchecked: the laws in _RELAXATION call these
 # once schedule() has checked the regime's hypotheses.
 
 def _rho_asymptotic(alpha_k, lam_k, L, eps_bar, alpha_bar):
@@ -154,99 +156,89 @@ def _rho_larger_step(alpha_k, lam, L, nu, eps_bar) -> float:
     return (1.0 - eps_bar) * cap
 
 
-# A hypothesis is (holds, message, fatal), holds and message taking
-# (policy, lam, L, mu); an advisory one (not fatal) is left to validate().
-
-def _unit(name):
-    return (lambda p, *_: 0.0 < getattr(p, name) < 1.0,
-            lambda p, *_: f"{name} = {getattr(p, name):g} outside (0,1)", True)
-
-
-def _window(label, cap):
-    """lam < cap(policy, L) when L > 0; positivity is checked on its own."""
-    return (lambda p, lam, L, mu: L <= 0 or lam < cap(p, L),
-            lambda p, lam, L, mu: (f"lam = {lam:g} not in (0, {label}) = "
-                                   f"(0, {cap(p, L):g})"), True)
-
-
-def _strong_cap(p, L, mu):
-    """lambda_strong, or inf while a, b or mu break their own hypotheses."""
-    if mu is None or mu <= 0 or not (0.0 < p.a < 1.0 and 0.0 < p.b < 1.0):
-        return np.inf
-    return lambda_strong(mu, L, p.a, p.b)
-
-
-_LAM_POSITIVE = (lambda p, lam, *_: lam > 0,
-                 lambda p, lam, *_: f"lam = {lam:g} is not positive", True)
-_ASYMPTOTIC_WINDOW = _window("1/(4L)", lambda p, L: 1.0 / (4.0 * L))
-_MONOTONE_GAP_WINDOW = _window("1/(2L)", lambda p, L: 1.0 / (2.0 * L))
-# The constructor keeps alpha in [0, 1); custom policies may drop inertia.
-_COMMON = (_LAM_POSITIVE,
-           (lambda p, *_: p.alpha > 0.0 or p.regime == "custom",
-            lambda p, *_: f"alpha = {p.alpha:g} outside (0,1)", False))
-
-
-class _Regime(NamedTuple):
-    hypotheses: tuple  # checked after _COMMON, in order
-    rho: Callable      # (policy, alpha_k, lam, L) -> rho_k
-    default_lam: Callable | None = None  # (policy, L, mu), for lam = None
-
-
-_REGIMES = {
-    "asymptotic": _Regime(
-        (_unit("eps_bar"), _ASYMPTOTIC_WINDOW),
-        lambda p, ak, lk, L: _rho_asymptotic(ak, lk, L, p.eps_bar, p.alpha)),
-    "larger_step": _Regime(
-        ((lambda p, *_: p.alpha_mode == "constant",
-          lambda *_: "larger_step regime assumes constant inertia", False),
-         _unit("nu"),
-         _window("(1-nu)/(2L)", lambda p, L: (1.0 - p.nu) / (2.0 * L))),
-        lambda p, ak, lk, L: _rho_larger_step(ak, lk, L, p.nu, p.eps_bar)),
-    "strongly_monotone": _Regime(
-        (_unit("a"), _unit("b"),
-         (lambda p, lam, L, mu: mu is not None and mu > 0,
-          lambda *_: "strongly_monotone regime without a positive mu", True),
-         # advisory: non-strict runs may step above the cap, with a diagnostic
-         (lambda p, lam, L, mu: lam <= _strong_cap(p, L, mu),
-          lambda p, lam, L, mu: (f"lam = {lam:g} exceeds lambda_strong = "
-                                 f"{_strong_cap(p, L, mu):g}"), False)),
-        lambda p, ak, lk, L: _rho_strong(ak, lk, lipschitz_tilde(L), p.a),
-        default_lam=_strong_cap),
-    "monotone_gap": _Regime(
-        (_MONOTONE_GAP_WINDOW,),
-        lambda p, ak, lk, L: _rho_monotone(ak, lk, L, p.alpha)),
-    "custom": _Regime(
-        ((lambda p, *_: p.rho is not None,
-          lambda *_: "custom regime without an explicit rho", True),),
-        lambda p, ak, lk, L: float(p.rho)),
+# Each regime's relaxation law (policy, alpha_k, lam, L) -> rho_k.
+_RELAXATION = {
+    "asymptotic": lambda p, ak, lk, L: _rho_asymptotic(ak, lk, L, p.eps_bar,
+                                                       p.alpha),
+    "larger_step": lambda p, ak, lk, L: _rho_larger_step(ak, lk, L, p.nu,
+                                                         p.eps_bar),
+    "strongly_monotone": lambda p, ak, lk, L: _rho_strong(
+        ak, lk, lipschitz_tilde(L), p.a),
+    "monotone_gap": lambda p, ak, lk, L: _rho_monotone(ak, lk, L, p.alpha),
+    "custom": lambda p, ak, lk, L: float(p.rho),
 }
 
 
-def _require(hypotheses, policy, lam, L, mu):
-    for holds, message, fatal in hypotheses:
-        if fatal and not holds(policy, lam, L, mu):
-            raise PolicyViolation(message(policy, lam, L, mu))
+def _common(p, lam):
+    """(message, fatal) for each broken hypothesis every regime shares."""
+    if not lam > 0:
+        yield f"lam = {lam:g} is not positive", True
+    # The constructor keeps alpha in [0, 1); custom policies may drop inertia.
+    if not p.alpha > 0.0 and p.regime != "custom":
+        yield f"alpha = {p.alpha:g} outside (0,1)", False
 
 
-def _lam(policy: RegimePolicy, L: float, mu):
-    if policy.lam is not None:
+def _broken(p, regime, lam, L, mu):
+    """(message, fatal) for each hypothesis of regime that policy p breaks
+    at step lam, in order. An advisory one (not fatal) only validate()
+    reports; the window lam < cap is checked when L > 0."""
+    if regime == "custom" and p.rho is None:
+        yield "custom regime without an explicit rho", True
+    if regime == "larger_step" and p.alpha_mode != "constant":
+        yield "larger_step regime assumes constant inertia", False
+    for name in {"asymptotic": ("eps_bar",), "larger_step": ("nu",),
+                 "strongly_monotone": ("a", "b")}.get(regime, ()):
+        if not 0.0 < getattr(p, name) < 1.0:
+            yield f"{name} = {getattr(p, name):g} outside (0,1)", True
+    if regime == "strongly_monotone":
+        if not (mu is not None and mu > 0):
+            yield "strongly_monotone regime without a positive mu", True
+        # advisory: non-strict runs may step above the cap, with a diagnostic
+        cap = _lam(p, L, mu, given=False)
+        if not lam <= cap:
+            yield f"lam = {lam:g} exceeds lambda_strong = {cap:g}", False
+    if L <= 0 or regime not in ("asymptotic", "larger_step", "monotone_gap"):
+        return
+    if regime == "asymptotic":
+        label, cap = "1/(4L)", 1.0 / (4.0 * L)
+    elif regime == "larger_step":
+        label, cap = "(1-nu)/(2L)", (1.0 - p.nu) / (2.0 * L)
+    else:
+        label, cap = "1/(2L)", 1.0 / (2.0 * L)
+    if not lam < cap:
+        yield f"lam = {lam:g} not in (0, {label}) = (0, {cap:g})", True
+
+
+def _require(policy, lam, L, mu):
+    for message, fatal in chain(_common(policy, lam),
+                                _broken(policy, policy.regime, lam, L, mu)):
+        if fatal:
+            raise PolicyViolation(message)
+
+
+def _lam(policy: RegimePolicy, L: float, mu, given=True):
+    """policy.lam if given and set, else lambda_strong: the strongly
+    monotone default step and cap, inf while mu, a or b break theirs."""
+    if given and policy.lam is not None:
         return float(policy.lam)
-    default = _REGIMES[policy.regime].default_lam
-    if default is None:
+    if given and policy.regime != "strongly_monotone":
         raise ValueError("policy has no step size lam")
-    return default(policy, L, mu)
+    if mu is None or mu <= 0 or not (0.0 < policy.a < 1.0
+                                     and 0.0 < policy.b < 1.0):
+        return np.inf
+    return lambda_strong(mu, L, policy.a, policy.b)
 
 
 def schedule(policy: RegimePolicy, L: float, mu: float | None = None):
     """The law k -> (alpha_k, lam, rho_k), k >= 1, after checking the
     fatal hypotheses once: PolicyViolation names the first one broken."""
-    regime = _REGIMES[policy.regime]
     lam = _lam(policy, L, mu)
-    _require(_COMMON + regime.hypotheses, policy, lam, L, mu)
+    _require(policy, lam, L, mu)
+    rho = _RELAXATION[policy.regime]
 
     def at(k: int):
         ak = alpha_at(policy, k)
-        return ak, lam, regime.rho(policy, ak, lam, L)
+        return ak, lam, rho(policy, ak, lam, L)
 
     return at
 
@@ -257,24 +249,16 @@ def schedule_at(policy: RegimePolicy, k: int, L: float, mu: float | None = None)
 
 
 def validate(policy: RegimePolicy, L: float, mu: float | None = None):
-    """Every violated hypothesis, as text; custom policies are also held to
-    their closest regime. Never raises: the caller decides whether a
-    violation is fatal."""
+    """Every violated hypothesis, as text. A custom policy is also held to
+    its closest regime: strongly monotone if rho >= 1, else asymptotic.
+    Never raises: the caller decides whether a violation is fatal."""
     try:
         lam = _lam(policy, L, mu)
     except ValueError as exc:
         return [str(exc)]
-    hypotheses = _COMMON + _REGIMES[policy.regime].hypotheses
+    broken = [*_common(policy, lam), *_broken(policy, policy.regime, lam, L, mu)]
     if policy.regime == "custom":
-        hypotheses += _REGIMES[_closest_regime(policy)].hypotheses
-    return [message(policy, lam, L, mu)
-            for holds, message, _ in hypotheses
-            if not holds(policy, lam, L, mu)]
-
-
-def _closest_regime(policy: RegimePolicy) -> str:
-    # custom runs are checked against the hypotheses they most plausibly
-    # target: strongly monotone if rho is 1-ish, else the asymptotic rule.
-    if policy.rho is not None and policy.rho >= 1.0:
-        return "strongly_monotone"
-    return "asymptotic"
+        closest = ("strongly_monotone" if policy.rho is not None
+                   and policy.rho >= 1.0 else "asymptotic")
+        broken += _broken(policy, closest, lam, L, mu)
+    return [message for message, _ in broken]

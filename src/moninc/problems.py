@@ -43,7 +43,8 @@ class ProblemInstance:
     """Everything a solver or merit function needs to know about a problem.
 
     initial samples the start from the replication stream, rng -> x0 as a
-    float64 array (a fixed start draws nothing); solution is a point with
+    float64 array (a fixed start draws nothing), whose length is the
+    problem's dimension (no field repeats it); solution is a point with
     zero residual when one is known (synthetic); rel_error_fn maps an iterate
     to a scalar relative error when a ground truth exists (synthetic, and the
     regression weights for the group-lasso problem); affine_matrix/
@@ -51,7 +52,6 @@ class ProblemInstance:
     enabling the restricted dual gap.
     """
 
-    dim: int
     oracle: StochasticOracle
     resolvent: object
     lipschitz: float
@@ -158,7 +158,6 @@ def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
     inst = CournotInstance(n=n_firms, r=r, d=d, a=a, b_hat=b_hat,
                            eps=10.0 / L_V_target, box=box)
     return ProblemInstance(
-        dim=n_firms,
         oracle=_CournotOracle(inst),
         resolvent=BoxResolvent(box),
         lipschitz=float(L_V_target),
@@ -348,7 +347,6 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
     lipschitz = operator_norm(lambda zz: M @ zz, lambda zz: M.T @ zz, total)
     wn = float(np.linalg.norm(w_true))
     return ProblemInstance(
-        dim=total,
         oracle=_CapOracle(inst),
         resolvent=_CapResolvent(inst),
         lipschitz=lipschitz,
@@ -398,6 +396,7 @@ class _AffineGaussianOracle(StochasticOracle):
 
 
 _POLISH_EVERY = 500  # extragradient sweeps between active-set polishes
+_REF_TOL, _REF_MAX_ITERS = 1e-12, 1_000_000  # the reference solve's stop
 
 
 def _polish(M, c, box, y, lam, tol):
@@ -422,20 +421,19 @@ def _polish(M, c, box, y, lam, tol):
 
 def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
                     sigma: float = 0.0, bias: float = 0.0,
-                    box_halfwidth: float = 1.0, seed: int = 0,
-                    ref_tol: float = 1e-12, ref_max_iters: int = 1_000_000
+                    box_halfwidth: float = 1.0, seed: int = 0
                     ) -> ProblemInstance:
     """Affine operator V(x) = (mu I + S) x + c on a centered box.
 
     S is a random skew matrix rescaled to the requested spectral norm, so
     the symmetric part of M is exactly mu*I. The reference solution is
     computed at build time by a deterministic extragradient sweep with step
-    lam = 1/(4 ||M||) run to natural residual ref_tol. Every 500 sweeps the
+    lam = 1/(4 ||M||) run to natural residual 1e-12. Every 500 sweeps the
     sweep tries a polish: it reads the active bounds off its projected
     trial point, solves the linear system of the free coordinates, and
-    stops there if that point's residual at lam is at most ref_tol; a
+    stops there if that point's residual at lam is at most 1e-12; a
     rejected polish leaves the sweep as it was. Failing to reach 1e-10
-    within ref_max_iters sweeps is a build error.
+    within 10^6 sweeps is a build error.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -458,14 +456,14 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
     x = np.zeros(d)
     mean = lambda z: M @ z + c
     resid = np.inf
-    for sweep in range(1, ref_max_iters + 1):
+    for sweep in range(1, _REF_MAX_ITERS + 1):
         fx = mean(x)
         y = project_box(x - lam * fx, box)
         resid = float(np.linalg.norm(x - y))
-        if resid <= ref_tol:
+        if resid <= _REF_TOL:
             break
         if sweep % _POLISH_EVERY == 0:
-            polished = _polish(M, c, box, y, lam, ref_tol)
+            polished = _polish(M, c, box, y, lam, _REF_TOL)
             if polished is not None:
                 x, resid = polished
                 break
@@ -473,12 +471,11 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
     if resid > 1e-10:
         raise RuntimeError(
             f"reference solve stalled at residual {resid:.3e} "
-            f"after {ref_max_iters} iterations")
+            f"after {_REF_MAX_ITERS} iterations")
 
     xr = x.copy()
     xn = float(np.linalg.norm(xr))
     return ProblemInstance(
-        dim=d,
         oracle=_AffineGaussianOracle(M, c, sigma, bias),
         resolvent=BoxResolvent(box),
         lipschitz=L,

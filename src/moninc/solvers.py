@@ -45,6 +45,7 @@ __all__ = [
     "sa_step",
     "proxpoint_step",
     "run",
+    "check_method",
     "METHODS",
 ]
 
@@ -88,9 +89,8 @@ def _commit(state: SolverState, X_new, Y, rho_k, calls):
     state.X = X_new
     state.k += 1
     state.oracle_calls += calls
-    if Y is not None:
-        state.avg_num += rho_k * Y
-        state.avg_den += rho_k
+    state.avg_num += rho_k * Y
+    state.avg_den += rho_k
 
 
 def risfbf_step(state: SolverState, problem, alpha_k, lam_k, rho_k, m_k):
@@ -215,7 +215,6 @@ class RunResult:
     iterations: int
     oracle_calls: int
     stopped_by: str
-    reached_target: bool
     diagnostics: tuple = ()  # validate()'s text; empty for a clean policy
 
 
@@ -252,6 +251,21 @@ _TABLE = {
 METHODS = tuple(_TABLE)
 
 
+def check_method(method: str, config: SolverConfig) -> None:
+    """ValueError unless method is known, config has the RegimePolicy it
+    needs, and config has a stop rule it can meet: a method that draws
+    nothing never reaches max_oracle_calls."""
+    spec = _TABLE.get(method)
+    if spec is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if spec.params == "policy" and config.policy is None:
+        raise ValueError(f"{method} needs a RegimePolicy: set a regime")
+    if not spec.batches and config.max_iters is None \
+            and config.residual_target is None:
+        raise ValueError(f"{method} draws nothing, so max_oracle_calls never "
+                         "stops it: set max_iters or residual_target")
+
+
 def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     """Drive `method` on `problem` until a stop rule fires.
 
@@ -270,12 +284,9 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     and a NumericFailure are raised again as NumericFailure naming the
     method, k, m_k, ||X_k|| and the policy diagnostics.
     """
-    spec = _TABLE.get(method)
-    if spec is None:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_method(method, config)
+    spec = _TABLE[method]
     pol = config.policy
-    if spec.params == "policy" and pol is None:
-        raise ValueError(f"{method} needs a RegimePolicy")
     mu = problem.strong_monotonicity if problem.strong_monotonicity > 0 else None
     diagnostics = tuple(policy_mod.validate(pol, problem.lipschitz, mu)
                         if pol is not None else ())
@@ -371,6 +382,5 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         iterations=state.k,
         oracle_calls=state.oracle_calls,
         stopped_by=stopped_by,
-        reached_target=stopped_by == "residual_target",
         diagnostics=diagnostics,
     )

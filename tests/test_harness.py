@@ -128,11 +128,28 @@ class TestLoadConfig:
         ("stride = 5", "stride = 0", "[output] stride must be at least 1"),
         ("max_iters = 40\n", "",
          "set max_iters, budget or residual_target"),
-    ], ids=["budget", "stride", "no-stop-rule"])
+        ("regime = strongly_monotone\nalpha = 0.1\n", "",
+         "risfbf needs a RegimePolicy: set a regime"),
+        ("method = risfbf\nregime = strongly_monotone\nalpha = 0.1\n"
+         "batch_kind = constant\nbatch_m = 2\nmax_iters = 40",
+         "method = proxpoint\nregime = strongly_monotone\nalpha = 0.1\n"
+         "batch_kind = constant\nbatch_m = 2\nbudget = 100",
+         "proxpoint draws nothing, so budget never stops it: set max_iters"),
+    ], ids=["budget", "stride", "no-stop-rule", "no-regime",
+            "proxpoint-budget-only"])
     def test_run_key_errors_name_the_ini_key(self, tmp_path, old, new,
                                              message):
+        text = BASE_INI.replace(old, new)
+        assert text != BASE_INI
         with pytest.raises(ConfigError, match=re.escape(message)):
-            _load(tmp_path, BASE_INI.replace(old, new))
+            _load(tmp_path, text)
+
+    @pytest.mark.parametrize("raw, value", [("yes", True), ("off", False)])
+    def test_boolean_keys_reach_the_solver_config(self, tmp_path, raw, value):
+        text = BASE_INI.replace("max_iters = 40\n",
+                                f"max_iters = 40\nrecord_energy = {raw}\n")
+        assert _load(tmp_path, text).build_solver_config().record_energy \
+            is value
 
     def test_workers_below_one_rejected_everywhere(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="workers must be at least 1"):
@@ -248,15 +265,19 @@ class TestBuilders:
                             else {})
 
     def test_problem_kinds_build(self, tmp_path):
-        assert _load(tmp_path).build_problem().dim == 8
+        def dim(ini=BASE_INI):
+            problem = _load(tmp_path, ini).build_problem()
+            return problem.initial(np.random.default_rng(0)).shape[0]
+
+        assert dim() == 8
         cournot = BASE_INI.replace(
             "kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
             "sigma = 0.2\nseed = 3", "kind = cournot\nl_v = 50.0")
-        assert _load(tmp_path, cournot).build_problem().dim == 10
+        assert dim(cournot) == 10
         cap = BASE_INI.replace(
             "kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
             "sigma = 0.2\nseed = 3", "kind = cap")
-        assert _load(tmp_path, cap).build_problem().dim == 182
+        assert dim(cap) == 182
 
 
 def _read_csv(path):
@@ -610,6 +631,18 @@ class TestCli:
         assert cli.main(["compare", a, bad, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "bad.ini" in err and "unknown regime 'custum'" in err
+        assert not out.exists()
+
+    def test_compare_with_a_config_missing_its_policy_runs_nothing(
+            self, tmp_path, capsys):
+        a = _write(tmp_path, REDUCTION_A, name="a.ini")
+        nopol = _write(tmp_path, REDUCTION_A.replace(
+            "regime = custom\nalpha = 0.0\nlam = 0.1\nrho = 1.0",
+            "lam = 0.1"), name="nopol.ini")
+        out = tmp_path / "out"
+        assert cli.main(["compare", a, nopol, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "nopol.ini" in err and "risfbf needs a RegimePolicy" in err
         assert not out.exists()
 
     def test_compare_prints_failure_reasons(self, tmp_path, capsys,

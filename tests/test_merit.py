@@ -75,6 +75,11 @@ class TestDualGap:
         # linear in p: value is radius * ||M^T x|| = 2
         assert dual_gap_affine(prob, np.array([1.0, 0.0]), region) \
             == pytest.approx(2.0, abs=1e-12)
+        # at x = 0 the objective is flat: the maximiser is the ball centre
+        shifted = GapRegion(np.array([0.5, -1.0]), 2.0)
+        np.testing.assert_array_equal(shifted.support_point(np.zeros(2)),
+                                      shifted.anchor)
+        assert dual_gap_affine(prob, np.zeros(2), shifted) == 0.0
 
     def test_matches_dense_grid_search(self):
         M = np.array([[1.0, 0.3], [-0.3, 1.0]])
@@ -182,6 +187,8 @@ class TestGapRegionShapes:
                 GapRegion(anchor, 1.0, geometry=big), "ball"),
             "strict box and ball": (
                 GapRegion(np.array([1.0, 1.5]), 1.2, geometry=box), None),
+            "strict ball and ball": (
+                GapRegion(np.array([1.0, 0.5]), 1.0, geometry=small), None),
         }
 
     def _inside(self, region):
@@ -197,7 +204,8 @@ class TestGapRegionShapes:
 
     @pytest.mark.parametrize("name", [
         "ball inside box", "box inside ball", "geometry ball inside gap ball",
-        "gap ball inside geometry ball", "strict box and ball"])
+        "gap ball inside geometry ball", "strict box and ball",
+        "strict ball and ball"])
     def test_single_set_and_gap_match_grid_search(self, name):
         region, single = self._cases()[name]
         want = {"ball": region.ball, "geometry": region.geometry,
@@ -215,14 +223,15 @@ class TestGapRegionShapes:
                 assert grid - 1e-9 <= val <= grid + 5e-2, (name, M, x)
 
     def test_strict_intersection_projects_by_dykstra(self):
-        region, _ = self._cases()["strict box and ball"]
-        P = _grid(self._inside(region))
-        for z in np.random.default_rng(0).uniform(-3.0, 3.0, (20, 2)):
-            p = region.project(z)
-            assert region.contains(p, tol=1e-9)
-            # no grid point of C is closer to z than its projection
-            assert np.linalg.norm(z - p) \
-                <= np.linalg.norm(P - z, axis=1).min() + 1e-9
+        for name in ("strict box and ball", "strict ball and ball"):
+            region, _ = self._cases()[name]
+            P = _grid(self._inside(region))
+            for z in np.random.default_rng(0).uniform(-3.0, 3.0, (20, 2)):
+                p = region.project(z)
+                assert region.contains(p, tol=1e-9), name
+                # no grid point of C is closer to z than its projection
+                assert np.linalg.norm(z - p) \
+                    <= np.linalg.norm(P - z, axis=1).min() + 1e-9, name
 
     def test_geometry_dimension_checked_at_construction(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,31 @@ def test_step_window_shared_by_schedule_and_validate(regime, L, mu, edge,
             f"lam = {lam:g} is not positive"]
         with pytest.raises(PolicyViolation, match="not positive"):
             schedule_at(policy(lam), 1, L, mu)
+
+
+@pytest.mark.parametrize("kw, mu, messages, fatal", [
+    (dict(regime="larger_step", alpha=0.2, alpha_mode="increasing", nu=1.5),
+     None, ["larger_step regime assumes constant inertia",
+            "nu = 1.5 outside (0,1)",
+            "lam = 0.1 not in (0, (1-nu)/(2L)) = (0, -0.25)"],
+     "nu = 1.5 outside (0,1)"),
+    (dict(regime="asymptotic", alpha=0.0, eps_bar=0.0), None,
+     ["alpha = 0 outside (0,1)", "eps_bar = 0 outside (0,1)"],
+     "eps_bar = 0 outside (0,1)"),
+    (dict(regime="strongly_monotone", alpha=0.2, a=1.0, b=0.0), 1.0,
+     ["a = 1 outside (0,1)", "b = 0 outside (0,1)"], "a = 1 outside (0,1)"),
+    (dict(regime="monotone_gap", alpha=0.0), None,
+     ["alpha = 0 outside (0,1)"], None),
+])
+def test_validate_lists_every_broken_hypothesis_in_order(kw, mu, messages,
+                                                         fatal):
+    pol = RegimePolicy(lam=0.1, **kw)
+    assert validate(pol, 1.0, mu) == messages
+    if fatal is None:    # advisory only: the schedule runs
+        assert schedule_at(pol, 1, 1.0, mu)[1] == 0.1
+    else:                # the first fatal one is the one raised
+        with pytest.raises(PolicyViolation, match=re.escape(fatal)):
+            schedule_at(pol, 1, 1.0, mu)
 
 
 def test_constant_is_not_a_regime():

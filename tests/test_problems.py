@@ -20,6 +20,11 @@ from reference_oracles import explicit_cap_batch
 from reference_problems import cournot_oracle_sample, extragradient_sweep
 
 
+def _dim(prob):
+    """The dimension of the problem's iterates."""
+    return prob.initial(np.random.default_rng(0)).shape[0]
+
+
 def _single_firm():
     return CournotInstance(n=1, r=0.1, d=1.0, a=np.array([2.0]),
                            b_hat=np.array([3.0]), eps=1.0,
@@ -165,7 +170,7 @@ class TestCap:
         V = prob.oracle.mean
         rng = np.random.default_rng(3)
         for _ in range(100):
-            z1, z2 = rng.standard_normal((2, prob.dim))
+            z1, z2 = rng.standard_normal((2, _dim(prob)))
             assert (V(z1) - V(z2)) @ (z1 - z2) >= -1e-10
 
     def test_relative_error_callback(self):
@@ -215,17 +220,17 @@ class TestCap:
             pos += len(g)
         product = resolvent_product(blocks)
         rng = np.random.default_rng(5)
-        zero = np.zeros(prob.dim)
+        zero = np.zeros(_dim(prob))
         np.testing.assert_array_equal(prob.resolvent.apply(zero, 0.1), zero)
         for _ in range(500):
-            z = rng.standard_normal(prob.dim)
+            z = rng.standard_normal(_dim(prob))
             # inside every ball: the identity, exactly
             inside = z / (1.0 + np.linalg.norm(z))
             np.testing.assert_array_equal(prob.resolvent.apply(inside, 0.1),
                                           product.apply(inside, 0.1))
             # outside some or all balls: scaled by norms summed in another
             # order, so equal up to rounding
-            outside = z * rng.choice([1.0, 10.0, 1e3], size=prob.dim)
+            outside = z * rng.choice([1.0, 10.0, 1e3], size=_dim(prob))
             got = prob.resolvent.apply(outside, 0.1)
             want = product.apply(outside, 0.1)
             assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
@@ -349,10 +354,16 @@ class TestSynthetic:
         offset = np.linalg.norm(est - prob.oracle.mean(np.zeros(10)))
         assert offset == pytest.approx(0.5 / 5.0, abs=1e-12)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(problems, "_REF_MAX_ITERS", 3)
         with pytest.raises(RuntimeError):
-            synthetic_build(dim=6, mu=0.0, skew_norm=1.0, seed=0,
-                            ref_max_iters=3, ref_tol=1e-12)
+            synthetic_build(dim=6, mu=0.0, skew_norm=1.0, seed=0)
+
+    def test_zero_skew_leaves_the_symmetric_part_alone(self):
+        prob = synthetic_build(dim=8, mu=1.5, skew_norm=0.0, seed=4)
+        np.testing.assert_array_equal(prob.affine_matrix, 1.5 * np.eye(8))
+        lam = 1.0 / (4.0 * prob.lipschitz)
+        assert residual(prob, prob.solution, lam) <= 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, 0.1, 1.0])
     @pytest.mark.parametrize("dim", [6, 20])

@@ -37,7 +37,7 @@ def _zero_problem(dim=6):
     box = BoxSet(np.full(dim, -1.0), np.full(dim, 1.0))
     return SimpleNamespace(oracle=oracle, resolvent=BoxResolvent(box),
                            lipschitz=0.0, strong_monotonicity=0.0,
-                           dim=dim, feasible=box, solution=None,
+                           feasible=box, solution=None,
                            rel_error_fn=None, affine_matrix=None,
                            affine_shift=None,
                            initial=lambda rng: rng.uniform(-3.0, 3.0, dim))
@@ -184,6 +184,30 @@ class TestRun:
             with pytest.raises(ValueError, match="RegimePolicy"):
                 run(prob, method, SolverConfig(max_iters=5, lam=0.1))
 
+    def test_a_method_that_draws_nothing_needs_a_stop_it_can_meet(
+            self, monkeypatch):
+        steps = []
+        real = solvers.proxpoint_step
+
+        def bounded(*args):
+            steps.append(1)
+            assert len(steps) <= 1000, "no stop rule fired"
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "proxpoint_step", bounded)
+        prob, pol = _noisy_problem(), self._policy()
+        with pytest.raises(ValueError, match="proxpoint draws nothing"):
+            run(prob, "proxpoint", SolverConfig(policy=pol,
+                                                max_oracle_calls=100),
+                np.random.default_rng(0))
+        assert steps == []
+        out = run(prob, "proxpoint", SolverConfig(
+            policy=pol, max_iters=7, max_oracle_calls=100),
+            np.random.default_rng(0))
+        assert (out.stopped_by, out.iterations, out.oracle_calls) \
+            == ("max_iters", 8, 0)
+        assert len(steps) == 7
+
     def test_strict_mode_escalates_policy_diagnostics(self):
         prob = _noisy_problem()
         bad = self._policy(lam=10.0)     # far above every step-size cap
@@ -324,7 +348,6 @@ class TestRun:
                            max_iters=10**6)
         out = run(prob, "risfbf", cfg, np.random.default_rng(0))
         assert out.stopped_by == "residual_target"
-        assert out.reached_target
         assert out.trajectory.residual[-1] <= 1e-6
         # solved for real, not just flagged
         from moninc.merit import residual as fp_residual
@@ -356,7 +379,7 @@ class TestRun:
         assert np.all(np.isnan(run(prob, "risfbf", no_region,
                                    np.random.default_rng(4)).trajectory.gap))
         cournot = cournot_build(100)
-        box_region = GapRegion(np.zeros(cournot.dim), 1.0)
+        box_region = GapRegion(np.zeros(cournot.detail.n), 1.0)
         out = run(cournot, "sfbf", SolverConfig(max_iters=5,
                                                  gap_region=box_region),
                   np.random.default_rng(4))

@@ -9,7 +9,7 @@ keys feed ExperimentConfig. An omitted key takes the default of the builder
 or dataclass it feeds. Unknown sections or keys, keys that the chosen batch
 schedule does not read, policy keys other than lam without a regime,
 missing builder parameters without a default, and a method the config
-cannot run (solvers.check_method) are hard errors, so typos cannot
+cannot run or stop (solvers.check_method) are hard errors, so typos cannot
 silently change an experiment. run_experiment runs the configured
 replications in order on the calling thread, each on a stream derived from
 (global seed, replication index), writes one trajectory CSV per

@@ -1,10 +1,10 @@
 """Merit and diagnostic functions.
 
 The residual ||x - J_lam(x - lam V(x))|| vanishes exactly at solutions and
-is the default progress measure. For affine mean operators on compact
-regions the restricted dual gap sup_{p in C} <V(p), x - p> is available as
-a certified merit via an inner concave maximization. The linear-rate proof
-energy H_k is exposed for diagnostics.
+is the default progress measure. For affine mean operators the restricted
+dual gap sup_{p in C} <V(p), x - p> over a GapRegion C, one ball or one
+box, is available as a certified merit via an inner concave maximization.
+The linear-rate proof energy H_k is exposed for diagnostics.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ __all__ = [
 ]
 
 _GAP_TOL, _GAP_MAX_ITERS = 1e-10, 20_000  # dual_gap_affine's ascent stop
+_CONTAINS_TOL = 1e-10  # GapRegion.contains' slack
+_EST_BATCH = 10_000  # draws of residual's estimate when the mean is unknown
 
 
-def residual(problem, x, lam: float, rng=None, est_batch: int = 10_000):
+def residual(problem, x, lam: float, rng=None):
     """Fixed-point residual at step lam.
 
     Uses the exact mean operator when the problem's oracle has one;
-    otherwise a large mini-batch estimate (est_batch draws from rng).
+    otherwise a large mini-batch estimate (_EST_BATCH draws from rng).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -42,106 +44,69 @@ def residual(problem, x, lam: float, rng=None, est_batch: int = 10_000):
         if rng is None:
             raise UnsupportedOperation(
                 "oracle has no mean and no rng was supplied for estimation")
-        v = minibatch_estimate(problem.oracle, x, est_batch, rng)
+        v = minibatch_estimate(problem.oracle, x, _EST_BATCH, rng)
     y = problem.resolvent.apply(x - lam * v, lam)
     return float(np.linalg.norm(x - y))
 
 
 @dataclass(frozen=True)
 class GapRegion:
-    """Compact slice C = (feasible geometry) intersect ball(anchor, radius).
+    """The compact set C of the restricted gap: one ball or one box.
 
-    geometry is a BoxSet, a BallSet, or None (ball only), of the anchor's
-    dimension. Construction settles once which single set C is (the gap
-    ball, the box, or the geometry ball) when one of the two contains the
-    other; `single` is None when C is a strict intersection, which
-    `project` handles by Dykstra's alternating projections.
+    C is the ball B(anchor, radius) when geometry is None or a BoxSet that
+    contains that ball, and the box when the ball contains it. Any other
+    pair, or a geometry that is not a BoxSet of the anchor's dimension,
+    raises ValueError, so C always has a closed-form projection and
+    support point.
     """
 
     anchor: np.ndarray
     radius: float
-    geometry: object = None
-    ball: BallSet = field(init=False, repr=False, compare=False)
-    single: object = field(init=False, repr=False, compare=False)
+    geometry: BoxSet | None = None
+    C: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.anchor, dtype=np.float64)
         object.__setattr__(self, "anchor", a)
         if self.radius <= 0:
             raise ValueError("gap region radius must be positive")
-        ball = BallSet(a, self.radius)
-        geo, single = self.geometry, None
-        if geo is None:
-            single = ball
-        elif not isinstance(geo, (BoxSet, BallSet)):
-            raise ValueError("gap region geometry must be a BoxSet or BallSet")
-        elif geo.dim != a.shape[0]:
-            raise ValueError("gap region geometry dimension mismatch")
-        elif isinstance(geo, BoxSet):
-            far = np.maximum(np.abs(geo.lower - a), np.abs(geo.upper - a))
-            if float(np.linalg.norm(far)) <= ball.radius * (1.0 + 1e-12):
-                single = geo
-            elif bool(np.all(a - ball.radius >= geo.lower - 1e-12)
-                      and np.all(a + ball.radius <= geo.upper + 1e-12)):
-                single = ball
-        else:
-            gap = float(np.linalg.norm(a - geo.center))
-            if gap + ball.radius <= geo.radius * (1 + 1e-12):
-                single = ball
-            elif gap + geo.radius <= ball.radius * (1 + 1e-12):
-                single = geo
-        object.__setattr__(self, "ball", ball)
-        object.__setattr__(self, "single", single)
+        C, box = BallSet(a, self.radius), self.geometry
+        if box is not None:
+            if not isinstance(box, BoxSet):
+                raise ValueError("gap region geometry must be a BoxSet or None")
+            if box.dim != a.shape[0]:
+                raise ValueError("gap region geometry dimension mismatch")
+            far = np.maximum(np.abs(box.lower - a), np.abs(box.upper - a))
+            if float(np.linalg.norm(far)) <= self.radius * (1.0 + 1e-12):
+                C = box
+            elif not (np.all(a - self.radius >= box.lower - 1e-12)
+                      and np.all(a + self.radius <= box.upper + 1e-12)):
+                raise ValueError("gap region: neither the box nor the ball "
+                                 "contains the other")
+        object.__setattr__(self, "C", C)
 
     def project(self, p):
         """Projection onto C."""
-        if isinstance(self.single, BoxSet):
-            return project_box(p, self.single)
-        if self.single is not None:
-            return project_ball(p, self.single)
-        # Dykstra's alternating projections onto geometry and the gap ball;
-        # done once the corrections q1, q2 stop moving (x = y = xn): x alone
-        # can stand still for a sweep while they still move
-        proj_geo = project_box if isinstance(self.geometry, BoxSet) \
-            else project_ball
-        x = np.asarray(p, dtype=np.float64).copy()
-        q1 = np.zeros_like(x)
-        q2 = np.zeros_like(x)
-        for _ in range(1000):
-            y = proj_geo(x + q1, self.geometry)
-            q1 = x + q1 - y
-            xn = project_ball(y + q2, self.ball)
-            q2 = y + q2 - xn
-            moved = np.linalg.norm(x - y) + np.linalg.norm(y - xn)
-            x = xn
-            if moved <= 1e-13:
-                break
-        return x
+        if isinstance(self.C, BoxSet):
+            return project_box(p, self.C)
+        return project_ball(p, self.C)
 
-    def contains(self, p, tol=1e-10):
-        if np.linalg.norm(p - self.anchor) > self.radius + tol:
-            return False
-        geo = self.geometry
-        if isinstance(geo, BoxSet):
-            return bool(np.all(p >= geo.lower - tol)
-                        and np.all(p <= geo.upper + tol))
-        if geo is not None:
-            return float(np.linalg.norm(p - geo.center)) <= geo.radius + tol
-        return True
+    def contains(self, p):
+        """Whether p lies in C, up to _CONTAINS_TOL."""
+        if isinstance(self.C, BoxSet):
+            return bool(np.all(p >= self.C.lower - _CONTAINS_TOL)
+                        and np.all(p <= self.C.upper + _CONTAINS_TOL))
+        return bool(np.linalg.norm(p - self.C.center)
+                    <= self.C.radius + _CONTAINS_TOL)
 
     def support_point(self, g):
         """argmax over C of <g, p> for the linear (skew-coupling) case."""
-        if isinstance(self.single, BoxSet):
-            return np.where(g >= 0, self.single.upper, self.single.lower)
-        if self.single is None:
-            raise UnsupportedOperation(
-                "linear gap objective over a strict set intersection "
-                "is not supported")
-        ball = self.single
+        if isinstance(self.C, BoxSet):
+            return np.where(g >= 0, self.C.upper, self.C.lower)
         ng = float(np.linalg.norm(g))
         if ng == 0:
-            return ball.center.copy()
-        return ball.center + (ball.radius / ng) * g
+            return self.C.center.copy()
+        return self.C.center + (self.C.radius / ng) * g
 
 
 def dual_gap_affine(problem, x, region: GapRegion):

@@ -16,7 +16,7 @@ relaxation rho_k evolve:
 lam and the custom rho are numbers, so a regime's hypotheses hold at every
 k exactly when they hold at k = 1. One function, _broken(), states each
 regime's hypotheses as plain conditions and yields each one a policy
-breaks; _common() holds the two every regime shares. schedule() raises on
+breaks; _common() holds those every regime shares. schedule() raises on
 the first fatal one, once, and returns the law k -> (alpha_k, lam, rho_k)
 built on the regime's relaxation formula (the _rho_* functions, each
 written once); validate() lists every broken one, advisory ones included.
@@ -169,8 +169,10 @@ _RELAXATION = {
 }
 
 
-def _common(p, lam):
+def _common(p, lam, L):
     """(message, fatal) for each broken hypothesis every regime shares."""
+    if L < 0:
+        yield f"L = {L:g} is negative", True
     if not lam > 0:
         yield f"lam = {lam:g} is not positive", True
     # The constructor keeps alpha in [0, 1); custom policies may drop inertia.
@@ -210,7 +212,7 @@ def _broken(p, regime, lam, L, mu):
 
 
 def _require(policy, lam, L, mu):
-    for message, fatal in chain(_common(policy, lam),
+    for message, fatal in chain(_common(policy, lam, L),
                                 _broken(policy, policy.regime, lam, L, mu)):
         if fatal:
             raise PolicyViolation(message)
@@ -218,13 +220,13 @@ def _require(policy, lam, L, mu):
 
 def _lam(policy: RegimePolicy, L: float, mu, given=True):
     """policy.lam if given and set, else lambda_strong: the strongly
-    monotone default step and cap, inf while mu, a or b break theirs."""
+    monotone default step and cap, inf while L, mu, a or b break theirs."""
     if given and policy.lam is not None:
         return float(policy.lam)
     if given and policy.regime != "strongly_monotone":
         raise ValueError("policy has no step size lam")
-    if mu is None or mu <= 0 or not (0.0 < policy.a < 1.0
-                                     and 0.0 < policy.b < 1.0):
+    if L < 0 or mu is None or mu <= 0 or not (0.0 < policy.a < 1.0
+                                              and 0.0 < policy.b < 1.0):
         return np.inf
     return lambda_strong(mu, L, policy.a, policy.b)
 
@@ -256,7 +258,8 @@ def validate(policy: RegimePolicy, L: float, mu: float | None = None):
         lam = _lam(policy, L, mu)
     except ValueError as exc:
         return [str(exc)]
-    broken = [*_common(policy, lam), *_broken(policy, policy.regime, lam, L, mu)]
+    broken = [*_common(policy, lam, L),
+              *_broken(policy, policy.regime, lam, L, mu)]
     if policy.regime == "custom":
         closest = ("strongly_monotone" if policy.rho is not None
                    and policy.rho >= 1.0 else "asymptotic")

@@ -150,13 +150,14 @@ class SolverConfig:
     """Run-level knobs: schedules, stopping, and what to record.
 
     Construction checks the run settings; run() trusts them. Exactly the
-    stop rules that are set apply (at least one is required; max_iters and
-    max_oracle_calls are positive); residual_target needs record_residual,
-    since the residual is what it stops on. The baselines step with lam,
-    else the policy's lam, else 1/(4L). The residual column is taken at
-    step 1/(4L) (1 when L = 0). Rows are recorded every record_stride >= 1
-    iterations; H_k (record_energy) needs a known solution, a policy for
-    its constant a, and a method with parameters, which sa lacks.
+    stop rules that are set apply (max_iters and max_oracle_calls are
+    positive; check_method requires one that must fire); residual_target
+    needs record_residual, since the residual is what it stops on. The
+    baselines step with lam, else the policy's lam, else 1/(4L). The
+    residual column is taken at step 1/(4L) (1 when L = 0). Rows are
+    recorded every record_stride >= 1 iterations; H_k (record_energy)
+    needs a known solution, a policy for its constant a, and a method with
+    parameters, which sa lacks.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -172,10 +173,6 @@ class SolverConfig:
     strict: bool = False
 
     def __post_init__(self):
-        if self.max_iters is None and self.max_oracle_calls is None \
-                and self.residual_target is None:
-            raise ValueError("config sets no stop rule: set max_iters, "
-                             "max_oracle_calls or residual_target")
         for name in ("max_iters", "max_oracle_calls"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -253,17 +250,21 @@ METHODS = tuple(_TABLE)
 
 def check_method(method: str, config: SolverConfig) -> None:
     """ValueError unless method is known, config has the RegimePolicy it
-    needs, and config has a stop rule it can meet: a method that draws
-    nothing never reaches max_oracle_calls."""
+    needs, and config has a stop rule that must fire: max_iters, or
+    max_oracle_calls on a method that draws. residual_target alone may
+    never be met, and a method that draws nothing never reaches
+    max_oracle_calls."""
     spec = _TABLE.get(method)
     if spec is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if spec.params == "policy" and config.policy is None:
         raise ValueError(f"{method} needs a RegimePolicy: set a regime")
-    if not spec.batches and config.max_iters is None \
-            and config.residual_target is None:
+    if config.max_iters is None and not spec.batches:
         raise ValueError(f"{method} draws nothing, so max_oracle_calls never "
-                         "stops it: set max_iters or residual_target")
+                         "stops it: set max_iters")
+    if config.max_iters is None and config.max_oracle_calls is None:
+        raise ValueError(f"{method} needs a stop rule that must fire: set "
+                         "max_iters or max_oracle_calls")
 
 
 def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:

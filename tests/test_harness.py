@@ -127,7 +127,9 @@ class TestLoadConfig:
         ("max_iters = 40", "budget = 0", "budget must be positive"),
         ("stride = 5", "stride = 0", "[output] stride must be at least 1"),
         ("max_iters = 40\n", "",
-         "set max_iters, budget or residual_target"),
+         "risfbf needs a stop rule that must fire: set max_iters or budget"),
+        ("max_iters = 40", "residual_target = 1e-300",
+         "risfbf needs a stop rule that must fire: set max_iters or budget"),
         ("regime = strongly_monotone\nalpha = 0.1\n", "",
          "risfbf needs a RegimePolicy: set a regime"),
         ("method = risfbf\nregime = strongly_monotone\nalpha = 0.1\n"
@@ -135,8 +137,8 @@ class TestLoadConfig:
          "method = proxpoint\nregime = strongly_monotone\nalpha = 0.1\n"
          "batch_kind = constant\nbatch_m = 2\nbudget = 100",
          "proxpoint draws nothing, so budget never stops it: set max_iters"),
-    ], ids=["budget", "stride", "no-stop-rule", "no-regime",
-            "proxpoint-budget-only"])
+    ], ids=["budget", "stride", "no-stop-rule", "residual-target-only",
+            "no-regime", "proxpoint-budget-only"])
     def test_run_key_errors_name_the_ini_key(self, tmp_path, old, new,
                                              message):
         text = BASE_INI.replace(old, new)

@@ -180,6 +180,18 @@ def test_validate_flags_bad_steps_without_raising():
     assert msgs and any("1/(4L)" in m for m in msgs)
 
 
+@pytest.mark.parametrize("pol", [
+    RegimePolicy(regime="strongly_monotone", alpha=0.1, lam=0.01),
+    RegimePolicy(regime="strongly_monotone", alpha=0.1),
+    RegimePolicy(regime="custom", alpha=0.1, lam=0.01, rho=1.2),
+], ids=["strong-lam", "strong-default-lam", "custom-rho-1.2"])
+def test_negative_L_is_one_fatal_hypothesis(pol):
+    # validate lists it instead of raising; schedule raises it
+    assert validate(pol, -1.0, 1.0) == ["L = -1 is negative"]
+    with pytest.raises(PolicyViolation, match="L = -1 is negative"):
+        schedule(pol, -1.0, 1.0)
+
+
 def test_validate_clean_configuration():
     pol = RegimePolicy(regime="asymptotic", alpha=0.3, lam=0.1)
     assert validate(pol, L=1.0) == []

@@ -171,7 +171,24 @@ class TestRun:
 
     def test_missing_stop_rule_rejected(self):
         with pytest.raises(ValueError, match="stop rule"):
-            SolverConfig(lam=0.1)
+            solvers.check_method("sfbf", SolverConfig(lam=0.1))
+
+    def test_a_residual_target_alone_is_not_a_stop_rule(self, monkeypatch):
+        steps = []
+        real = solvers.risfbf_step
+
+        def bounded(*args):
+            steps.append(1)
+            assert len(steps) <= 1000, "no stop rule fired"
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "risfbf_step", bounded)
+        with pytest.raises(ValueError,
+                           match="set max_iters or max_oracle_calls"):
+            run(_noisy_problem(), "sfbf",
+                SolverConfig(residual_target=1e-300),
+                np.random.default_rng(0))
+        assert steps == []
 
     @pytest.mark.parametrize("name", ["max_iters", "max_oracle_calls"])
     def test_budgets_must_be_positive(self, name):

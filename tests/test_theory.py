@@ -10,6 +10,7 @@ from moninc.solvers import SolverConfig, run
 from moninc.theory import (contraction_q, geometric_constant,
                            noise_envelope_B, oracle_cost, poly_rate_constant,
                            tau_eps)
+from capture import run_with_points
 from reference_formulas import dominance_constant
 
 
@@ -221,3 +222,32 @@ def test_risfbf_oracle_complexity_is_inverse_epsilon():
     assert -1.1 <= slope <= -0.9
     assert all(60 <= b - a <= 75
                for a, b in zip(iterations, iterations[1:]))
+
+
+def test_risfbf_polynomial_batches_give_polynomial_rate():
+    """Strongly monotone risfbf with polynomial(theta) batches: the mean
+    E||X_k - x*||^2 falls like 1/k^theta, the paper's polynomial rate.
+
+    Criterion 4's instance and policy, 400 iterations, 20 replications at
+    seeds [base, rep]; the test runs base 31. Over base seeds 31..35 the
+    log-log slope over k = 100..400 ranged over [-1.095, -0.966] at
+    theta = 1, [-1.607, -1.478] at theta = 1.5 and [-2.119, -1.989] at
+    theta = 2; each lies in the band [-theta - 0.25, -0.85 theta].
+    """
+    prob = synthetic_build(20, mu=1.0, skew_norm=1.0, sigma=0.5, seed=5)
+    policy = RegimePolicy(regime="strongly_monotone", alpha=0.1)
+    ks = np.arange(100, 401)
+    slopes = []
+    for theta in (1.0, 1.5, 2.0):
+        cfg = SolverConfig(policy=policy,
+                           batches=BatchSchedule.polynomial(theta),
+                           max_iters=400, record_residual=False)
+        points = [run_with_points(prob, "risfbf", cfg,
+                                  np.random.default_rng([31, rep]))[1]
+                  for rep in range(20)]
+        mean_sq = np.mean([[np.sum((x - prob.solution) ** 2) for x in row]
+                           for row in points], axis=0)   # row k-1 is X_k
+        slope = float(np.polyfit(np.log(ks), np.log(mean_sq[ks - 1]), 1)[0])
+        assert -theta - 0.25 <= slope <= -0.85 * theta, (theta, slope)
+        slopes.append(slope)
+    assert slopes[0] > slopes[1] > slopes[2]

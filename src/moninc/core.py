@@ -20,10 +20,7 @@ __all__ = [
     "project_ball",
     "ResolventMap",
     "BoxResolvent",
-    "operator_norm",
 ]
-
-_NORM_ITERS, _NORM_TOL = 200, 1e-12  # operator_norm's power-iteration stop
 
 
 class NumericFailure(RuntimeError):
@@ -125,27 +122,3 @@ class BoxResolvent(ResolventMap):
 
     def apply(self, x, lam):
         return project_box(x, self.box)
-
-
-def operator_norm(apply, apply_adjoint, dim: int) -> float:
-    """Spectral norm of a linear map via power iteration on adjoint(apply(.)).
-
-    The starting vector is deterministic (normalized all-ones) so that
-    Lipschitz estimates feeding step sizes are reproducible. Stops when the
-    eigenvalue estimate changes by at most a relative 1e-12, or after 200
-    steps. A zero map returns 0.
-    """
-    v = np.ones(dim) / np.sqrt(dim)
-    est = 0.0
-    for _ in range(_NORM_ITERS):
-        w = apply_adjoint(apply(v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        new_est = float(v @ w)  # Rayleigh quotient for the PSD composition
-        v = w / nw
-        if abs(new_est - est) <= _NORM_TOL * max(1.0, abs(new_est)):
-            est = new_est
-            break
-        est = new_est
-    return float(np.sqrt(max(est, 0.0)))

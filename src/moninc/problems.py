@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BoxSet, BoxResolvent, ResolventMap, operator_norm,
-                   project_box)
+from .core import BoxSet, BoxResolvent, ResolventMap, project_box
 from .oracle import StochasticOracle
 
 __all__ = [
@@ -344,7 +343,11 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
     M[d:, :d] = -L_mat
     c = np.concatenate([-w_true, np.zeros(dual_dim)])
 
-    lipschitz = operator_norm(lambda zz: M @ zz, lambda zz: M.T @ zz, total)
+    # exact ||M||: L_mat^T L_mat = eta^2 diag(c_j), c_j the groups sharing
+    # coordinate j, so each singular value s = eta sqrt(c_j) of L_mat gives
+    # M a 2x2 block [[1, s], [-s, 0]] of norm (1 + sqrt(1 + 4 s^2))/2
+    shared = int(np.bincount(inst.index).max())
+    lipschitz = 0.5 * (1.0 + float(np.sqrt(1.0 + 4.0 * eta**2 * shared)))
     wn = float(np.linalg.norm(w_true))
     return ProblemInstance(
         oracle=_CapOracle(inst),

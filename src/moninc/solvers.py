@@ -21,7 +21,6 @@ bitwise reproducible given (seed, config, problem).
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -232,18 +231,15 @@ class _Method(NamedTuple):
     step: str           # kernel name, resolved per run() so patches apply
     batches: int        # mini-batches drawn per iteration
     params: str | None  # "policy": policy.schedule, "baseline": (0, lam, 1)
-    args: Callable      # (k, m_k, params_at) -> kernel arguments
+    args: Callable      # (k, m_k, (alpha_k, lam_k, rho_k)) -> kernel arguments
 
 
 _TABLE = {
-    "risfbf": _Method("risfbf_step", 2, "policy",
-                      lambda k, m, at: (*at(k), m)),
-    "sfbf": _Method("risfbf_step", 2, "baseline",
-                    lambda k, m, at: (*at(k), m)),
-    "seg": _Method("seg_step", 2, "baseline", lambda k, m, at: (at(k)[1], m)),
-    "sa": _Method("sa_step", 1, None, lambda k, m, at: (k, m)),
-    "proxpoint": _Method("proxpoint_step", 0, "policy",
-                         lambda k, m, at: at(k)),
+    "risfbf": _Method("risfbf_step", 2, "policy", lambda k, m, p: (*p, m)),
+    "sfbf": _Method("risfbf_step", 2, "baseline", lambda k, m, p: (*p, m)),
+    "seg": _Method("seg_step", 2, "baseline", lambda k, m, p: (p[1], m)),
+    "sa": _Method("sa_step", 1, None, lambda k, m, p: (k, m)),
+    "proxpoint": _Method("proxpoint_step", 0, "policy", lambda k, m, p: p),
 }
 METHODS = tuple(_TABLE)
 
@@ -283,7 +279,13 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     seeded from the main one at start; the trajectory is flagged
     accordingly. numpy overflow and invalid errors raise in the loop; they
     and a NumericFailure are raised again as NumericFailure naming the
-    method, k, m_k, ||X_k|| and the policy diagnostics.
+    method, k, m_k, ||X_k|| and the policy diagnostics, where k and ||X_k||
+    name the same iterate: the one being stepped from or recorded.
+
+    Each pass of the loop takes the parameters for X_k once, decides
+    whether a rule stops the run there (residual_target, then max_iters,
+    then max_oracle_calls), records X_k's row if k is on the stride or the
+    run stops, and then stops or steps.
     """
     check_method(method, config)
     spec = _TABLE[method]
@@ -294,9 +296,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     if diagnostics and config.strict:
         raise policy_mod.PolicyViolation("; ".join(diagnostics))
     if spec.params == "policy":
-        # the step from X_k and the H_k row of X_k share one evaluation
-        params_at = functools.lru_cache(maxsize=1)(
-            policy_mod.schedule(pol, problem.lipschitz, mu))
+        params_at = policy_mod.schedule(pol, problem.lipschitz, mu)
     else:  # sa reads no parameters
         fixed = (0.0, _baseline_lam(config, problem), 1.0)
         params_at = lambda k: fixed
@@ -312,58 +312,42 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     energy_live = (config.record_energy and spec.params is not None
                    and problem.solution is not None and pol is not None)
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
-
-    def residual_now():
-        if not config.record_residual:
-            return np.nan
-        return merit.residual(problem, state.X, res_lam, rng=eval_rng)
-
-    def energy_now():
-        if not energy_live or state.k < 2:
-            return np.nan
-        ak, lk, rk = params_at(state.k)
-        return merit.energy_H(state.X, state.X_prev, problem.solution,
-                              ak, rk, lk, L_tilde, pol.a)
-
+    target = config.residual_target
     rows = []
     t0 = time.perf_counter()
-
-    def record(r):
-        X = state.X
-        rows.append((
-            state.k, state.oracle_calls, r,
-            problem.rel_error_fn(X) if problem.rel_error_fn is not None
-            else np.nan,
-            merit.dual_gap_affine(problem, X, region) if gap_live else np.nan,
-            energy_now(), time.perf_counter() - t0))
-
-    target = config.residual_target
-    stopped_by = "max_iters"
-    k, m_k = state.k, 0
+    m_k = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            r = residual_now()
-            record(r)
-            while target is None or not r <= target:  # a nan never meets it
-                k = state.k
-                if config.max_iters is not None and k > config.max_iters:
+            while True:
+                k, X = state.k, state.X
+                alpha_k, lam_k, rho_k = params = params_at(k)
+                r = (merit.residual(problem, X, res_lam, rng=eval_rng)
+                     if target is not None else np.nan)
+                if target is not None and r <= target:  # never on a nan
+                    stopped_by = "residual_target"
+                elif config.max_iters is not None and k > config.max_iters:
+                    stopped_by = "max_iters"
+                else:
+                    m_k = batch_size(config.batches, k) if batches else 0
+                    over = (config.max_oracle_calls is not None
+                            and state.oracle_calls + batches * m_k
+                            > config.max_oracle_calls)
+                    stopped_by = "max_oracle_calls" if over else None
+                if stopped_by or (k - 1) % config.record_stride == 0:
+                    if target is None and config.record_residual:
+                        r = merit.residual(problem, X, res_lam, rng=eval_rng)
+                    err = (problem.rel_error_fn(X)
+                           if problem.rel_error_fn is not None else np.nan)
+                    gap = (merit.dual_gap_affine(problem, X, region)
+                           if gap_live else np.nan)
+                    H = (merit.energy_H(X, state.X_prev, problem.solution,
+                                        alpha_k, rho_k, lam_k, L_tilde, pol.a)
+                         if energy_live and k >= 2 else np.nan)
+                    rows.append((k, state.oracle_calls, r, err, gap, H,
+                                 time.perf_counter() - t0))
+                if stopped_by:
                     break
-                m_k = batch_size(config.batches, k) if batches else 0
-                if (config.max_oracle_calls is not None and state.oracle_calls
-                        + batches * m_k > config.max_oracle_calls):
-                    stopped_by = "max_oracle_calls"
-                    break
-                step(state, problem, *args(k, m_k, params_at))
-                on_row = (state.k - 1) % config.record_stride == 0
-                if on_row or target is not None:
-                    r = residual_now()
-                if on_row:
-                    record(r)
-            else:  # the loop ended on the target, not on a break
-                stopped_by = "residual_target"
-            if rows[-1][0] != state.k:
-                # with a target, r is the residual of the current iterate
-                record(r if target is not None else residual_now())
+                step(state, problem, *args(k, m_k, params))
     except (NumericFailure, FloatingPointError) as exc:
         # a failed run returns no diagnostics, so its message keeps them
         hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"

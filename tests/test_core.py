@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from moninc.core import (BallSet, BoxResolvent, BoxSet, operator_norm,
-                         project_ball, project_box)
+from moninc.core import (BallSet, BoxResolvent, BoxSet, project_ball,
+                         project_box)
 from reference_core import BallResolvent, IdentityResolvent, resolvent_product
 
 
@@ -69,38 +69,6 @@ def test_resolvents_are_nonexpansive():
             x, y = rng.standard_normal((2, 4)) * 3.0
             lhs = np.linalg.norm(J.apply(x, 0.5) - J.apply(y, 0.5))
             assert lhs <= np.linalg.norm(x - y) + 1e-12
-
-
-# operator_norm is a deterministic power iteration; the examples below have
-# known exact norms.
-
-def test_operator_norm_identity():
-    est = operator_norm(lambda v: v, lambda v: v, dim=7)
-    assert est == pytest.approx(1.0, abs=1e-10)
-
-
-def test_operator_norm_diagonal():
-    d = np.array([1.0, -3.0, 2.0])
-    est = operator_norm(lambda v: d * v, lambda v: d * v, dim=3)
-    assert est == pytest.approx(3.0, abs=1e-9)
-
-
-def test_operator_norm_nilpotent():
-    M = np.array([[0.0, 2.0], [0.0, 0.0]])
-    est = operator_norm(lambda v: M @ v, lambda v: M.T @ v, dim=2)
-    assert est == pytest.approx(2.0, abs=1e-9)
-
-
-def test_operator_norm_zero_map():
-    est = operator_norm(lambda v: 0.0 * v, lambda v: 0.0 * v, dim=4)
-    assert est == 0.0
-
-
-def test_operator_norm_matches_numpy_on_random_matrix():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((8, 8))
-    est = operator_norm(lambda v: M @ v, lambda v: M.T @ v, dim=8)
-    assert est == pytest.approx(np.linalg.norm(M, 2), rel=1e-8)
 
 
 def test_resolvent_product_applies_blockwise():

@@ -189,6 +189,14 @@ class TestCap:
         assert inst.D == pytest.approx(10.0 * np.linalg.norm(inst.w_true))
         assert cap_build(seed=0, ball_radius=3.0).detail.D == 3.0
 
+    @pytest.mark.parametrize("shape", [
+        {}, dict(overlap=0), dict(overlap=5, eta=0.5),
+        dict(n_groups=3, group_size=4, overlap=3, eta=2.0), dict(eta=1.0)])
+    def test_lipschitz_is_the_exact_spectral_norm(self, shape):
+        prob = cap_build(seed=0, **shape)
+        exact = np.linalg.norm(prob.affine_matrix, 2)
+        assert abs(prob.lipschitz - exact) <= 4 * np.spacing(exact)
+
     @pytest.mark.parametrize("shape", [(10, 10, 2), (4, 5, 1), (3, 6, 0)])
     def test_coupling_maps_equal_a_per_group_loop_bitwise(self, shape):
         n_groups, group_size, overlap = shape

@@ -329,11 +329,14 @@ class TestRun:
         with pytest.raises(NumericFailure) as info:
             run(prob, "risfbf", SolverConfig(policy=pol, max_iters=5000),
                 np.random.default_rng([0, 0]))
+        # the last step made X_565, and recording its row overflowed: k and
+        # ||X|| name that one iterate
         X = states[-1].X
+        assert states[-1].k == 565
         top = np.max(np.abs(X))
         assert np.isfinite(top)
         want = top * np.linalg.norm(X / top)
-        assert f"risfbf at k=564, m_k=1, ||X||={want:.6g}: " in str(info.value)
+        assert f"risfbf at k=565, m_k=1, ||X||={want:.6g}: " in str(info.value)
         assert np.isfinite(want)
 
     def test_iteration_budget_and_row_indexing(self):
@@ -528,6 +531,45 @@ class TestRun:
         assert out.trajectory.residual[-1] <= 0.05
         assert out.trajectory.residual[-1] == estimates[-1]
         assert len(estimates) == out.iterations  # one per k = 1..K
+
+    @pytest.mark.parametrize("stop, kw", [
+        ("max_iters", dict(max_iters=30)),
+        ("max_oracle_calls", dict(max_oracle_calls=700, max_iters=10**6)),
+        ("residual_target", dict(residual_target=1e-3, max_iters=10**4))])
+    def test_each_iteration_evaluates_each_input_once(self, monkeypatch,
+                                                      stop, kw):
+        counts = dict.fromkeys(("law", "residual", "batch_size", "rel_error"),
+                               0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        schedule = policy_mod.schedule
+        monkeypatch.setattr(policy_mod, "schedule",
+                            lambda *a: counting("law", schedule(*a)))
+        monkeypatch.setattr(merit, "residual",
+                            counting("residual", merit.residual))
+        monkeypatch.setattr(solvers, "batch_size",
+                            counting("batch_size", solvers.batch_size))
+        prob = _noisy_problem(sigma=0.0)
+        prob = dataclasses.replace(
+            prob, rel_error_fn=counting("rel_error", prob.rel_error_fn))
+        cfg = SolverConfig(policy=self._policy(),
+                           batches=BatchSchedule.polynomial(1.2),
+                           record_stride=7, record_energy=True, **kw)
+        out = run(prob, "risfbf", cfg, np.random.default_rng(0))
+        K, rows = out.iterations, len(out.trajectory.k)
+        assert out.stopped_by == stop
+        assert (K - 1) % 7 != 0                # the last row is off-stride
+        assert counts == {
+            "law": K,                          # once per k = 1..K
+            "residual": K if stop == "residual_target" else rows,
+            # every k that neither the target nor max_iters stopped
+            "batch_size": K if stop == "max_oracle_calls" else K - 1,
+            "rel_error": rows}
 
 
 STEP_NAMES = ("risfbf_step", "sfbf_step", "seg_step", "sa_step",

@@ -251,3 +251,37 @@ def test_risfbf_polynomial_batches_give_polynomial_rate():
         assert -theta - 0.25 <= slope <= -0.85 * theta, (theta, slope)
         slopes.append(slope)
     assert slopes[0] > slopes[1] > slopes[2]
+
+
+def test_risfbf_discrete_velocity_is_summable():
+    """The discrete velocity v_k = E||X_{k+1} - X_k||^2 vanishes, as the
+    paper claims: its partial sums stay bounded, and then k min_{i<=k} v_i
+    falls toward 0, the o(1/k) that summability implies.
+
+    Criterion 6's instance under the asymptotic regime (alpha = 0.3,
+    lam = 0.9/(4L)) with polynomial(1.01) batches, 2,000 iterations and 20
+    replications at seeds [base, rep]; the test runs base 41. Over base
+    seeds 41..48 the partial sums were 0.876-0.890, 0.950-0.967,
+    0.988-1.007 and 1.000-1.020 at k = 250, 500, 1,000 and 2,000, and
+    k min_{i<=k} v_i fell from 0.116-0.121 at k = 250 to 0.0083-0.0103 at
+    k = 2,000.
+    """
+    prob = synthetic_build(20, mu=0.0, skew_norm=1.0, sigma=0.5, seed=7)
+    policy = RegimePolicy(regime="asymptotic", alpha=0.3,
+                          lam=0.9 / (4.0 * prob.lipschitz))
+    cfg = SolverConfig(policy=policy, batches=BatchSchedule.polynomial(1.01),
+                       max_iters=2000, record_residual=False)
+    velocity = np.mean([
+        np.sum(np.diff(run_with_points(prob, "risfbf", cfg,
+                                       np.random.default_rng([41, rep]))[1],
+                       axis=0) ** 2, axis=1)
+        for rep in range(20)], axis=0)          # entry k-1 is v_k
+    ks = np.array([250, 500, 1000, 2000])
+    sums = np.cumsum(velocity)[ks - 1]
+    k_min = (np.arange(1, 2001) * np.minimum.accumulate(velocity))[ks - 1]
+    assert 0.95 <= sums[-1] <= 1.10, sums
+    # each doubling of k adds less than the one before, the last under 2%
+    added = np.diff(sums)
+    assert np.all(np.diff(added) < 0) and added[-1] < 0.02 * sums[-1], sums
+    assert np.all(np.diff(k_min) < 0), k_min
+    assert k_min[-1] <= 0.15 * k_min[0], k_min

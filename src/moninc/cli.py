@@ -23,7 +23,7 @@ from . import theory
 from .core import NumericFailure
 from .harness import ConfigError, compare, load_config, run_experiment
 from .oracle import empirical_variance
-from .policy import alpha_at, lipschitz_tilde, schedule_at
+from .policy import alpha_at, lipschitz_tilde, schedule
 
 _METRICS = ("residual", "rel_error", "gap")
 
@@ -147,7 +147,7 @@ def _cmd_bounds(args) -> int:
         raise ConfigError("bounds needs a strongly monotone problem")
     L = problem.lipschitz
     L_tilde = lipschitz_tilde(L)
-    _, lam, _ = schedule_at(policy, 1, L, mu)
+    _, lam, _ = schedule(policy, L, mu)(1)
     q = theory.contraction_q(policy.a, policy.b, lam, mu,
                              policy.alpha, L_tilde)
     s = problem.oracle.variance_bound or 0.0
@@ -166,22 +166,22 @@ def _cmd_bounds(args) -> int:
     alpha1 = alpha_at(policy, 1)
     print(f"dist(X_1, solution)^2 = {dist1_sq:.6g} (replication 0 start)")
 
-    schedule = cfg.build_batches()
-    if schedule.kind == "geometric":
-        p = float(schedule.p)
+    batches = cfg.build_batches()
+    if batches.kind == "geometric":
+        p = float(batches.p)
         p_hat = (p + 1.0) / 2.0 if p == q else None
         C = theory.geometric_constant(p, q, dist1_sq, alpha1,
                                       policy.alpha, B, p_hat)
         print(f"geometric sampling p={p:.6g}: C={C:.6g}")
         for eps in (1e-3, 1e-4, 1e-5):
             tau = theory.tau_eps(p, q, C, eps, p_hat)
-            cost = theory.oracle_cost(schedule, tau, 2)
+            cost = theory.oracle_cost(batches, tau, 2)
             print(f"  eps={eps:g}: tau={tau} oracle_cost={cost}")
-    elif schedule.kind == "polynomial":
+    elif batches.kind == "polynomial":
         # m_k ~ k^theta / n, so the noise per step is about n B / k^theta
-        c = theory.poly_rate_constant(q, schedule.theta, dist1_sq, alpha1,
-                                     policy.alpha, schedule.scale * B)
-        print(f"polynomial sampling theta={schedule.theta:g}: "
+        c = theory.poly_rate_constant(q, batches.theta, dist1_sq, alpha1,
+                                     policy.alpha, batches.scale * B)
+        print(f"polynomial sampling theta={batches.theta:g}: "
               f"c={c:.6g} (envelope c/k^theta)")
     else:
         print("constant batches: no summable envelope; q governs the "

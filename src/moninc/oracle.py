@@ -33,8 +33,9 @@ class StochasticOracle:
 
     Attributes:
         mean: callable x -> V(x) exactly, or None when unavailable.
-        variance_bound: sigma with E||batch(x, 1) - V(x)||^2 <= sigma^2,
-            or None when not declared.
+        variance_bound: sigma with E||batch(x, 1) - V(x)||^2 <= sigma^2
+            on the set the oracle's docstring names, or on every x if it
+            names none; None when not declared.
         bias_bound: b_hat with ||E batch(x, m) - V(x)|| <= b_hat/sqrt(m);
             zero for unbiased oracles.
     """

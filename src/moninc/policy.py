@@ -13,14 +13,15 @@ relaxation rho_k evolve:
     custom            user-supplied constants; validate() still reports any
                       violated hypotheses of the closest regime
 
-lam and the custom rho are numbers, so a regime's hypotheses hold at every
-k exactly when they hold at k = 1. One function, _broken(), states each
-regime's hypotheses as plain conditions and yields each one a policy
-breaks; _common() holds those every regime shares. schedule() raises on
-the first fatal one, once, and returns the law k -> (alpha_k, lam, rho_k)
-built on the regime's relaxation formula (the _rho_* functions, each
-written once); validate() lists every broken one, advisory ones included.
-Neither alters a user's numbers.
+A RegimePolicy rejects at construction what is wrong with its constants
+alone. Its other hypotheses bind it against the problem's L and mu; lam
+and the custom rho are numbers, so each holds at every k iff at k = 1.
+One function, _broken(), states those of each regime as plain conditions
+and yields each one a policy breaks; _common() holds those every regime
+shares. schedule() raises on the first fatal one, once, and returns the
+law k -> (alpha_k, lam, rho_k) built on the regime's relaxation formula
+(the _rho_* functions, each written once); validate() lists every broken
+one, advisory ones included. Neither alters a user's numbers.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ class RegimePolicy:
     alpha_0 in "increasing" mode where alpha_k = alpha_0 * (1 - 1/(k+1));
     either way it is the bound alpha_bar >= alpha_k of the relaxation rules.
     lam is the constant step, or None for strongly_monotone's default; rho
-    is the custom regime's constant relaxation. Both are numbers or None.
+    is the custom regime's constant relaxation, which it must set. Both are
+    numbers or None. eps_bar, nu, a and b lie in (0,1) in every regime.
     """
 
     regime: str
@@ -78,6 +80,13 @@ class RegimePolicy:
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must lie in [0, 1)")
+        if self.lam is None and self.regime != "strongly_monotone":
+            raise ValueError("policy has no step size lam")
+        if self.regime == "custom" and self.rho is None:
+            raise ValueError("custom regime without an explicit rho")
+        for name in ("eps_bar", "nu", "a", "b"):
+            if not 0.0 < (value := getattr(self, name)) < 1.0:
+                raise ValueError(f"{name} = {value:g} outside (0,1)")
 
 
 def alpha_at(policy: RegimePolicy, k: int) -> float:
@@ -184,14 +193,8 @@ def _broken(p, regime, lam, L, mu):
     """(message, fatal) for each hypothesis of regime that policy p breaks
     at step lam, in order. An advisory one (not fatal) only validate()
     reports; the window lam < cap is checked when L > 0."""
-    if regime == "custom" and p.rho is None:
-        yield "custom regime without an explicit rho", True
     if regime == "larger_step" and p.alpha_mode != "constant":
         yield "larger_step regime assumes constant inertia", False
-    for name in {"asymptotic": ("eps_bar",), "larger_step": ("nu",),
-                 "strongly_monotone": ("a", "b")}.get(regime, ()):
-        if not 0.0 < getattr(p, name) < 1.0:
-            yield f"{name} = {getattr(p, name):g} outside (0,1)", True
     if regime == "strongly_monotone":
         if not (mu is not None and mu > 0):
             yield "strongly_monotone regime without a positive mu", True
@@ -220,13 +223,10 @@ def _require(policy, lam, L, mu):
 
 def _lam(policy: RegimePolicy, L: float, mu, given=True):
     """policy.lam if given and set, else lambda_strong: the strongly
-    monotone default step and cap, inf while L, mu, a or b break theirs."""
+    monotone default step and cap, inf while L or mu break theirs."""
     if given and policy.lam is not None:
         return float(policy.lam)
-    if given and policy.regime != "strongly_monotone":
-        raise ValueError("policy has no step size lam")
-    if L < 0 or mu is None or mu <= 0 or not (0.0 < policy.a < 1.0
-                                              and 0.0 < policy.b < 1.0):
+    if L < 0 or mu is None or mu <= 0:
         return np.inf
     return lambda_strong(mu, L, policy.a, policy.b)
 
@@ -254,14 +254,11 @@ def validate(policy: RegimePolicy, L: float, mu: float | None = None):
     """Every violated hypothesis, as text. A custom policy is also held to
     its closest regime: strongly monotone if rho >= 1, else asymptotic.
     Never raises: the caller decides whether a violation is fatal."""
-    try:
-        lam = _lam(policy, L, mu)
-    except ValueError as exc:
-        return [str(exc)]
+    lam = _lam(policy, L, mu)
     broken = [*_common(policy, lam, L),
               *_broken(policy, policy.regime, lam, L, mu)]
     if policy.regime == "custom":
-        closest = ("strongly_monotone" if policy.rho is not None
-                   and policy.rho >= 1.0 else "asymptotic")
+        closest = ("strongly_monotone" if policy.rho >= 1.0
+                   else "asymptotic")
         broken += _broken(policy, closest, lam, L, mu)
     return [message for message, _ in broken]

@@ -279,13 +279,13 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     seeded from the main one at start; the trajectory is flagged
     accordingly. numpy overflow and invalid errors raise in the loop; they
     and a NumericFailure are raised again as NumericFailure naming the
-    method, k, m_k, ||X_k|| and the policy diagnostics, where k and ||X_k||
-    name the same iterate: the one being stepped from or recorded.
+    method, k, m_k, ||X_k|| and the policy diagnostics; k, m_k and ||X_k||
+    belong to one iterate, the one being stepped from or recorded.
 
-    Each pass of the loop takes the parameters for X_k once, decides
-    whether a rule stops the run there (residual_target, then max_iters,
-    then max_oracle_calls), records X_k's row if k is on the stride or the
-    run stops, and then stops or steps.
+    Each pass of the loop takes X_k's batch size and parameters once,
+    decides whether a rule stops the run there (residual_target, then
+    max_iters, then max_oracle_calls), records X_k's row if k is on the
+    stride or the run stops, and then stops or steps.
     """
     check_method(method, config)
     spec = _TABLE[method]
@@ -315,11 +315,11 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     target = config.residual_target
     rows = []
     t0 = time.perf_counter()
-    m_k = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
             while True:
                 k, X = state.k, state.X
+                m_k = batch_size(config.batches, k) if batches else 0
                 alpha_k, lam_k, rho_k = params = params_at(k)
                 r = (merit.residual(problem, X, res_lam, rng=eval_rng)
                      if target is not None else np.nan)
@@ -327,12 +327,12 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                     stopped_by = "residual_target"
                 elif config.max_iters is not None and k > config.max_iters:
                     stopped_by = "max_iters"
+                elif (config.max_oracle_calls is not None
+                      and state.oracle_calls + batches * m_k
+                      > config.max_oracle_calls):
+                    stopped_by = "max_oracle_calls"
                 else:
-                    m_k = batch_size(config.batches, k) if batches else 0
-                    over = (config.max_oracle_calls is not None
-                            and state.oracle_calls + batches * m_k
-                            > config.max_oracle_calls)
-                    stopped_by = "max_oracle_calls" if over else None
+                    stopped_by = None
                 if stopped_by or (k - 1) % config.record_stride == 0:
                     if target is None and config.record_residual:
                         r = merit.residual(problem, X, res_lam, rng=eval_rng)

@@ -90,9 +90,9 @@ def test_schedule_at_strongly_monotone_defaults_lambda():
 
 
 def test_schedule_at_custom_requires_rho():
-    pol = RegimePolicy(regime="custom", alpha=0.1, lam=0.1)
-    with pytest.raises(ValueError):
-        schedule_at(pol, 1, L=1.0)
+    with pytest.raises(ValueError,
+                       match="^custom regime without an explicit rho$"):
+        RegimePolicy(regime="custom", alpha=0.1, lam=0.1)
     pol2 = RegimePolicy(regime="custom", alpha=0.1, lam=0.1, rho=0.25)
     assert schedule_at(pol2, 4, L=1.0)[2] == 0.25
 
@@ -204,8 +204,24 @@ def test_validate_strongly_monotone_without_mu():
 
 
 def test_validate_missing_lambda():
-    pol = RegimePolicy(regime="asymptotic", alpha=0.3)
-    assert validate(pol, L=1.0) == ["policy has no step size lam"]
+    # only strongly_monotone has a default step, so the others are not built
+    for regime in ("asymptotic", "larger_step", "monotone_gap", "custom"):
+        with pytest.raises(ValueError, match="^policy has no step size lam$"):
+            RegimePolicy(regime=regime, alpha=0.3, rho=1.0)
+
+
+@pytest.mark.parametrize("regime", ["asymptotic", "larger_step",
+                                    "strongly_monotone", "monotone_gap",
+                                    "custom"])
+@pytest.mark.parametrize("name", ["eps_bar", "nu", "a", "b"])
+def test_constants_lie_in_the_open_unit_interval_in_every_regime(regime,
+                                                                 name):
+    kw = dict(regime=regime, alpha=0.1, lam=0.1, rho=1.0)
+    for value in (0.0, 1.0, -0.5, 2.0, np.nan):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} = {value:g} outside (0,1)")):
+            RegimePolicy(**kw, **{name: value})
+    assert getattr(RegimePolicy(**kw, **{name: 0.99}), name) == 0.99
 
 
 def test_validate_custom_checks_nearest_regime():
@@ -250,21 +266,31 @@ def test_step_window_shared_by_schedule_and_validate(regime, L, mu, edge,
 
 
 @pytest.mark.parametrize("kw, mu, messages, fatal", [
+    # a constant outside (0,1) is the policy's own error: construction
+    # raises the first one, so no validate list exists
     (dict(regime="larger_step", alpha=0.2, alpha_mode="increasing", nu=1.5),
-     None, ["larger_step regime assumes constant inertia",
-            "nu = 1.5 outside (0,1)",
-            "lam = 0.1 not in (0, (1-nu)/(2L)) = (0, -0.25)"],
-     "nu = 1.5 outside (0,1)"),
-    (dict(regime="asymptotic", alpha=0.0, eps_bar=0.0), None,
-     ["alpha = 0 outside (0,1)", "eps_bar = 0 outside (0,1)"],
+     None, [], "nu = 1.5 outside (0,1)"),
+    (dict(regime="asymptotic", alpha=0.0, eps_bar=0.0), None, [],
      "eps_bar = 0 outside (0,1)"),
-    (dict(regime="strongly_monotone", alpha=0.2, a=1.0, b=0.0), 1.0,
-     ["a = 1 outside (0,1)", "b = 0 outside (0,1)"], "a = 1 outside (0,1)"),
+    (dict(regime="strongly_monotone", alpha=0.2, a=1.0, b=0.0), 1.0, [],
+     "a = 1 outside (0,1)"),
     (dict(regime="monotone_gap", alpha=0.0), None,
      ["alpha = 0 outside (0,1)"], None),
+    (dict(regime="larger_step", alpha=0.2, alpha_mode="increasing", nu=0.9),
+     None, ["larger_step regime assumes constant inertia",
+            "lam = 0.1 not in (0, (1-nu)/(2L)) = (0, 0.05)"],
+     "lam = 0.1 not in (0, (1-nu)/(2L)) = (0, 0.05)"),
+    (dict(regime="strongly_monotone", alpha=0.0), None,
+     ["alpha = 0 outside (0,1)",
+      "strongly_monotone regime without a positive mu"],
+     "strongly_monotone regime without a positive mu"),
 ])
 def test_validate_lists_every_broken_hypothesis_in_order(kw, mu, messages,
                                                          fatal):
+    if not messages:
+        with pytest.raises(ValueError, match=f"^{re.escape(fatal)}$"):
+            RegimePolicy(lam=0.1, **kw)
+        return
     pol = RegimePolicy(lam=0.1, **kw)
     assert validate(pol, 1.0, mu) == messages
     if fatal is None:    # advisory only: the schedule runs

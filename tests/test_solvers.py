@@ -257,8 +257,10 @@ class TestRun:
                 raise AssertionError("batch called")
 
         prob = dataclasses.replace(_noisy_problem(), oracle=NoMean())
-        pol = RegimePolicy(regime="custom", alpha=0.1, lam=0.01)  # no rho
-        with pytest.raises(PolicyViolation, match="without an explicit rho"):
+        # a step above 1/(4L) breaks a hypothesis only the problem can check
+        pol = RegimePolicy(regime="asymptotic", alpha=0.1,
+                           lam=0.3 / prob.lipschitz)
+        with pytest.raises(PolicyViolation, match=re.escape("1/(4L)")):
             run(prob, "risfbf", SolverConfig(policy=pol, max_iters=5),
                 np.random.default_rng(0))
 
@@ -338,6 +340,17 @@ class TestRun:
         want = top * np.linalg.norm(X / top)
         assert f"risfbf at k=565, m_k=1, ||X||={want:.6g}: " in str(info.value)
         assert np.isfinite(want)
+
+    @pytest.mark.parametrize("target", [None, 1e-12])
+    def test_numeric_failure_names_the_batch_of_the_step_from_x_k(self,
+                                                                  target):
+        # lam = 0.05 diverges on this game; with a target the overflow comes
+        # while X_238's residual is taken, without one in the step from it
+        cfg = SolverConfig(lam=0.05, batches=BatchSchedule.polynomial(1.0),
+                           max_iters=5000, residual_target=target)
+        with pytest.raises(NumericFailure, match=re.escape(
+                "sfbf at k=238, m_k=238, ")):
+            run(cournot_build(100), "sfbf", cfg, np.random.default_rng(0))
 
     def test_iteration_budget_and_row_indexing(self):
         prob = _noisy_problem()
@@ -567,8 +580,7 @@ class TestRun:
         assert counts == {
             "law": K,                          # once per k = 1..K
             "residual": K if stop == "residual_target" else rows,
-            # every k that neither the target nor max_iters stopped
-            "batch_size": K if stop == "max_oracle_calls" else K - 1,
+            "batch_size": K,
             "rel_error": rows}
 
 

@@ -9,11 +9,12 @@ built from two independent mini-batches, and relaxation:
     B_k = independent mini-batch at Y_k       (m_k draws)
     X_{k+1} = (1-rho_k) Z_k + rho_k (Y_k + lam_k (A_k - B_k))
 
-Baselines: the same kernel at alpha = 0, rho = 1 (two-call
-forward-backward-forward), the twice-projected extragradient, projected
-stochastic approximation with a 1/sqrt(k) step, and the relaxed inertial
-proximal point recursion (no operator calls at all). run() reads each
-method from one table.
+Every method runs this one kernel, risfbf_step, configured by its row of
+the method table: the baselines are its degenerate cases. sfbf is alpha = 0,
+rho = 1 (two-call forward-backward-forward); seg replaces the correction
+with a second resolvent J(X_k - lam B_k) (extragradient); sa stops after the
+first forward-backward step with a 1/sqrt(k) step; proxpoint draws nothing,
+so Y_k = J(Z_k) (the relaxed inertial proximal point recursion).
 
 Batches are drawn A first then B from the caller-owned stream, so runs are
 bitwise reproducible given (seed, config, problem).
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,71 +78,55 @@ def init_state(x0, rng) -> SolverState:
                        avg_num=np.zeros_like(x0))
 
 
-def _extrapolate(state: SolverState, alpha_k: float) -> np.ndarray:
-    if alpha_k == 0.0:
-        return state.X
-    return state.X + alpha_k * (state.X - state.X_prev)
+def risfbf_step(state: SolverState, problem, alpha_k, lam_k, rho_k, m_k,
+                draws=2, extragradient=False):
+    """One relaxed inertial step; every method is this kernel.
 
-
-def _commit(state: SolverState, X_new, Y, rho_k, calls):
-    state.X_prev = state.X
-    state.X = X_new
+    Z = X_k + alpha_k (X_k - X_{k-1}), and Y = J(Z - lam_k A) with A drawn
+    at Z, or Y = J(Z) when draws is 0. With two draws B is drawn at Y and
+    the new point is Y + lam_k (A - B), or J(Z - lam_k B) for the
+    extragradient; with fewer it is Y, uncorrected, so -0.0 stays -0.0.
+    It is relaxed toward Z when rho_k != 1. The state counts draws * m_k
+    draws and adds rho_k Y to the average.
+    """
+    X = state.X
+    Z = X if alpha_k == 0.0 else X + alpha_k * (X - state.X_prev)
+    if draws:
+        A = minibatch_estimate(problem.oracle, Z, m_k, state.rng)
+        Y = problem.resolvent.apply(Z - lam_k * A, lam_k)
+    else:
+        Y = problem.resolvent.apply(Z, lam_k)
+    X_new = Y
+    if draws == 2:
+        B = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
+        X_new = (problem.resolvent.apply(Z - lam_k * B, lam_k)
+                 if extragradient else Y + lam_k * (A - B))
+    if rho_k != 1.0:
+        X_new = (1.0 - rho_k) * Z + rho_k * X_new
+    state.X_prev, state.X = X, X_new
     state.k += 1
-    state.oracle_calls += calls
+    state.oracle_calls += draws * m_k
     state.avg_num += rho_k * Y
     state.avg_den += rho_k
-
-
-def risfbf_step(state: SolverState, problem, alpha_k, lam_k, rho_k, m_k):
-    """One inertial relaxed forward-backward-forward update (two batches)."""
-    Z = _extrapolate(state, alpha_k)
-    A = minibatch_estimate(problem.oracle, Z, m_k, state.rng)
-    Y = problem.resolvent.apply(Z - lam_k * A, lam_k)
-    B = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
-    correction = Y + lam_k * (A - B)
-    if rho_k == 1.0:
-        X_new = correction
-    else:
-        X_new = (1.0 - rho_k) * Z + rho_k * correction
-    _commit(state, X_new, Y, rho_k, 2 * m_k)
     return state
 
 
+# The named baselines stay only while perfbench's tracer and the tests call
+# them by name; run() steps every method through risfbf_step.
 def sfbf_step(state: SolverState, problem, lam, m_k):
-    """Plain forward-backward-forward: risfbf_step at alpha = 0, rho = 1."""
     return risfbf_step(state, problem, 0.0, lam, 1.0, m_k)
 
 
 def seg_step(state: SolverState, problem, lam, m_k):
-    """Extragradient: both the trial and the final point are projected."""
-    X = state.X
-    A = minibatch_estimate(problem.oracle, X, m_k, state.rng)
-    Y = problem.resolvent.apply(X - lam * A, lam)
-    B = minibatch_estimate(problem.oracle, Y, m_k, state.rng)
-    X_new = problem.resolvent.apply(X - lam * B, lam)
-    _commit(state, X_new, Y, 1.0, 2 * m_k)
-    return state
+    return risfbf_step(state, problem, 0.0, lam, 1.0, m_k, 2, True)
 
 
 def sa_step(state: SolverState, problem, k, m: int = 1):
-    """Projected stochastic approximation with step 1/sqrt(k), one draw."""
-    lam_k = 1.0 / np.sqrt(k)
-    est = minibatch_estimate(problem.oracle, state.X, m, state.rng)
-    X_new = problem.resolvent.apply(state.X - lam_k * est, lam_k)
-    _commit(state, X_new, X_new, 1.0, m)
-    return state
+    return risfbf_step(state, problem, 0.0, 1.0 / np.sqrt(k), 1.0, m, 1)
 
 
 def proxpoint_step(state: SolverState, problem, alpha_k, lam_k, rho_k):
-    """Relaxed inertial proximal point: no operator evaluations."""
-    Z = _extrapolate(state, alpha_k)
-    J = problem.resolvent.apply(Z, lam_k)
-    if rho_k == 1.0:
-        X_new = J
-    else:
-        X_new = (1.0 - rho_k) * Z + rho_k * J
-    _commit(state, X_new, J, rho_k, 0)
-    return state
+    return risfbf_step(state, problem, alpha_k, lam_k, rho_k, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -155,8 +140,8 @@ class SolverConfig:
     baselines step with lam, else the policy's lam, else 1/(4L). The
     residual column is taken at step 1/(4L) (1 when L = 0). Rows are
     recorded every record_stride >= 1 iterations; H_k (record_energy)
-    needs a known solution, a policy for its constant a, and a method with
-    parameters, which sa lacks.
+    needs a known solution, a policy for its constant a, and a method other
+    than sa.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -228,18 +213,19 @@ def _baseline_lam(config: SolverConfig, problem) -> float:
 
 
 class _Method(NamedTuple):
-    step: str           # kernel name, resolved per run() so patches apply
-    batches: int        # mini-batches drawn per iteration
-    params: str | None  # "policy": policy.schedule, "baseline": (0, lam, 1)
-    args: Callable      # (k, m_k, (alpha_k, lam_k, rho_k)) -> kernel arguments
+    """A method is risfbf_step with this row's draws and correction."""
+
+    batches: int         # mini-batches drawn per iteration (draws)
+    params: str | None   # "policy", "baseline" or None (sa's 1/sqrt(k))
+    extragradient: bool  # a second resolvent in place of Y + lam (A - B)
 
 
 _TABLE = {
-    "risfbf": _Method("risfbf_step", 2, "policy", lambda k, m, p: (*p, m)),
-    "sfbf": _Method("risfbf_step", 2, "baseline", lambda k, m, p: (*p, m)),
-    "seg": _Method("seg_step", 2, "baseline", lambda k, m, p: (p[1], m)),
-    "sa": _Method("sa_step", 1, None, lambda k, m, p: (k, m)),
-    "proxpoint": _Method("proxpoint_step", 0, "policy", lambda k, m, p: p),
+    "risfbf": _Method(2, "policy", False),
+    "sfbf": _Method(2, "baseline", False),
+    "seg": _Method(2, "baseline", True),
+    "sa": _Method(1, None, False),
+    "proxpoint": _Method(0, "policy", False),
 }
 METHODS = tuple(_TABLE)
 
@@ -297,15 +283,18 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         raise policy_mod.PolicyViolation("; ".join(diagnostics))
     if spec.params == "policy":
         params_at = policy_mod.schedule(pol, problem.lipschitz, mu)
-    else:  # sa reads no parameters
+    elif spec.params == "baseline":
         fixed = (0.0, _baseline_lam(config, problem), 1.0)
         params_at = lambda k: fixed
+    else:  # sa's step 1/sqrt(k)
+        params_at = lambda k: (0.0, 1.0 / np.sqrt(k), 1.0)
     if rng is None:
         rng = np.random.default_rng()
 
     eval_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
     state = init_state(problem.initial(rng), rng)
-    step, batches, args = globals()[spec.step], spec.batches, spec.args
+    step = risfbf_step                  # read per run(), so patches apply
+    batches, extragradient = spec.batches, spec.extragradient
     res_lam = _quarter_inverse(problem.lipschitz)
     region = config.gap_region
     gap_live = region is not None and problem.affine_matrix is not None
@@ -347,7 +336,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                                  time.perf_counter() - t0))
                 if stopped_by:
                     break
-                step(state, problem, *args(k, m_k, params))
+                step(state, problem, *params, m_k, batches, extragradient)
     except (NumericFailure, FloatingPointError) as exc:
         # a failed run returns no diagnostics, so its message keeps them
         hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"

@@ -105,6 +105,26 @@ class TestCournot:
             worst = max(worst, num / den)
         assert worst <= prob.lipschitz * (1 + 1e-9)
 
+    def test_game_is_affine_plus_additive_noise_on_the_box(self):
+        # x >= 0 and h < 0 give min(x/eps, h) = h, so the recourse never
+        # binds on the box: the mean is A x + a - d - 2.5 with
+        # A = diag(b_hat) + r (11^T + I), and the noise is the same at
+        # every feasible x
+        prob = cournot_build(100.0, seed=0)
+        inst = prob.detail
+        A = np.diag(inst.b_hat) + inst.r * (np.ones((10, 10)) + np.eye(10))
+        assert np.linalg.norm(A, 2) == pytest.approx(89.10, abs=5e-3)
+        rng = np.random.default_rng(8)
+        box = inst.box
+        for x in rng.uniform(box.lower, box.upper, size=(1000, 10)):
+            np.testing.assert_allclose(cournot_mean(inst, x),
+                                       A @ x + inst.a - inst.d - 2.5,
+                                       rtol=0.0, atol=1e-11)
+        x, y = rng.uniform(box.lower, box.upper, size=(2, 10))
+        noise = [prob.oracle.batch(z, 7, np.random.default_rng(9))
+                 - prob.oracle.mean(z) for z in (x, y)]
+        np.testing.assert_allclose(noise[0], noise[1], rtol=0.0, atol=1e-11)
+
     def test_initial_point_sampler_uses_unit_cube(self):
         prob = cournot_build(100.0, seed=0)
         x0 = prob.initial(np.random.default_rng(0))

@@ -22,7 +22,10 @@ from moninc.solvers import (METHODS, SolverConfig, init_state, proxpoint_step,
                             risfbf_step, run, sa_step, seg_step, sfbf_step)
 from capture import run_with_points
 from reference_oracles import NoiseModel, build_oracle
-from reference_steps import risfbf_step_fixedpoint_form
+from reference_steps import (proxpoint_step_reference,
+                             risfbf_step_fixedpoint_form,
+                             risfbf_step_reference, sa_step_reference,
+                             seg_step_reference)
 
 
 def _noisy_problem(seed=3, sigma=0.5):
@@ -133,6 +136,14 @@ class TestSteps:
         np.testing.assert_array_equal(s.X, np.clip(1.5 * x0, -1.0, 1.0))
         np.testing.assert_array_equal(s.x_bar(), s.X)
 
+    def test_a_step_that_draws_nothing_keeps_negative_zero(self):
+        # a correction Y + lam (0 - 0) would turn -0.0 into +0.0, which an
+        # iterate digest sees
+        x0 = np.array([-0.0, 0.5, -0.0, -0.5, 0.0, 0.25])
+        s = init_state(x0, np.random.default_rng(0))
+        risfbf_step(s, _zero_problem(), 0.0, 0.2, 1.0, 0, 0)
+        assert s.X.tobytes() == x0.tobytes()
+
     def test_averaged_point_is_relaxation_weighted(self):
         prob = _noisy_problem(sigma=0.0)
         V = prob.oracle.mean
@@ -204,14 +215,14 @@ class TestRun:
     def test_a_method_that_draws_nothing_needs_a_stop_it_can_meet(
             self, monkeypatch):
         steps = []
-        real = solvers.proxpoint_step
+        real = solvers.risfbf_step
 
         def bounded(*args):
             steps.append(1)
             assert len(steps) <= 1000, "no stop rule fired"
             return real(*args)
 
-        monkeypatch.setattr(solvers, "proxpoint_step", bounded)
+        monkeypatch.setattr(solvers, "risfbf_step", bounded)
         prob, pol = _noisy_problem(), self._policy()
         with pytest.raises(ValueError, match="proxpoint draws nothing"):
             run(prob, "proxpoint", SolverConfig(policy=pol,
@@ -603,7 +614,7 @@ BATCHES_PER_ITERATION = {"risfbf": 2, "sfbf": 2, "seg": 2, "sa": 1,
 
 
 def _reference_run(problem, method, cfg, seed):
-    """run() written out with the public kernels called directly."""
+    """run() written out with the separate kernels of reference_steps."""
     rng = np.random.default_rng(seed)
     rng.integers(0, 2**63 - 1)           # run() draws the eval seed first
     state = init_state(problem.initial(rng), rng)
@@ -615,15 +626,17 @@ def _reference_run(problem, method, cfg, seed):
                 > cfg.max_oracle_calls:
             break
         if method == "risfbf":
-            risfbf_step(state, problem, *schedule_at(cfg.policy, k, L, mu), m)
+            risfbf_step_reference(state, problem,
+                                  *schedule_at(cfg.policy, k, L, mu), m)
         elif method == "sfbf":
-            sfbf_step(state, problem, cfg.lam, m)
+            risfbf_step_reference(state, problem, 0.0, cfg.lam, 1.0, m)
         elif method == "seg":
-            seg_step(state, problem, cfg.lam, m)
+            seg_step_reference(state, problem, cfg.lam, m)
         elif method == "sa":
-            sa_step(state, problem, k, m)
+            sa_step_reference(state, problem, k, m)
         else:
-            proxpoint_step(state, problem, *schedule_at(cfg.policy, k, L, mu))
+            proxpoint_step_reference(state, problem,
+                                     *schedule_at(cfg.policy, k, L, mu))
     return state
 
 
@@ -638,16 +651,13 @@ class TestMethodTable:
         out = run(prob, method, cfg, np.random.default_rng(17))
         ref = _reference_run(prob, method, cfg, 17)
         assert out.iterations == ref.k
-        assert np.array_equal(out.X, ref.X)
-        assert np.array_equal(out.X_bar, ref.x_bar())
+        # bytes, not values: a digest also sees -0.0 against +0.0
+        assert out.X.tobytes() == ref.X.tobytes()
+        assert out.X_bar.tobytes() == ref.x_bar().tobytes()
         assert out.oracle_calls == ref.oracle_calls
 
-    @pytest.mark.parametrize("method, kernel", [
-        ("risfbf", "risfbf_step"), ("sfbf", "risfbf_step"),
-        ("seg", "seg_step"), ("sa", "sa_step"),
-        ("proxpoint", "proxpoint_step")])
-    def test_patched_kernel_sees_every_iteration(self, monkeypatch, method,
-                                                 kernel):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_patched_kernel_sees_every_iteration(self, monkeypatch, method):
         counts = dict.fromkeys(STEP_NAMES, 0)
 
         def counting(name, fn):
@@ -662,9 +672,10 @@ class TestMethodTable:
         prob = _noisy_problem()
         out = run(prob, method, _table_case(prob, method),
                   np.random.default_rng(0))
-        # sfbf runs the risfbf kernel directly, never through sfbf_step,
-        # so a tracer wrapping both does not count its steps twice
-        assert counts == {name: (out.iterations - 1 if name == kernel else 0)
+        # every method runs the one kernel directly, never through its
+        # named delegate, so a tracer wrapping all five counts each step once
+        assert counts == {name: (out.iterations - 1
+                                 if name == "risfbf_step" else 0)
                           for name in STEP_NAMES}
 
     def test_traced_names_stay_module_attributes(self):

@@ -4,7 +4,7 @@ Subcommands:
   run <config>         execute one experiment (replications + CSV export)
   compare <cfg...>     run several configs on a shared problem, print a table;
                        --out-dir D writes each config to D/<label>
-  bounds <config>      print closed-form rate/complexity envelopes
+  bounds <config>      print closed-form rate/complexity envelopes of risfbf
   variance <config>    mini-batch variance sweep of the configured oracle
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure in every
@@ -21,11 +21,11 @@ import numpy as np
 
 from . import theory
 from .core import NumericFailure
-from .harness import ConfigError, compare, load_config, run_experiment
+from .harness import (_METRICS, ConfigError, compare, load_config,
+                      run_experiment)
 from .oracle import empirical_variance
-from .policy import alpha_at, lipschitz_tilde, schedule
-
-_METRICS = ("residual", "rel_error", "gap")
+from .policy import lipschitz_tilde, schedule
+from .solvers import _start
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,16 +138,16 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed})
+    if cfg.method != "risfbf":
+        raise ConfigError(f"bounds describes risfbf only, not {cfg.method}")
     problem = cfg.build_problem()
     policy = cfg.build_policy()
-    if policy is None:
-        raise ConfigError("bounds needs a [solver] regime")
     mu = problem.strong_monotonicity
     if mu <= 0:
         raise ConfigError("bounds needs a strongly monotone problem")
     L = problem.lipschitz
     L_tilde = lipschitz_tilde(L)
-    _, lam, _ = schedule(policy, L, mu)(1)
+    alpha1, lam, _ = schedule(policy, L, mu)(1)
     q = theory.contraction_q(policy.a, policy.b, lam, mu,
                              policy.alpha, L_tilde)
     s = problem.oracle.variance_bound or 0.0
@@ -160,10 +160,8 @@ def _cmd_bounds(args) -> int:
         print("no reference solution on this problem; "
               "envelope constants need dist(X_1, solution)")
         return 0
-    rng = np.random.default_rng([cfg.seed, 0])
-    x1 = problem.initial(rng)
+    _, x1 = _start(problem, np.random.default_rng([cfg.seed, 0]))
     dist1_sq = float(np.sum((x1 - problem.solution) ** 2))
-    alpha1 = alpha_at(policy, 1)
     print(f"dist(X_1, solution)^2 = {dist1_sq:.6g} (replication 0 start)")
 
     batches = cfg.build_batches()
@@ -195,7 +193,7 @@ def _cmd_variance(args) -> int:
     if problem.oracle.mean is None:
         raise ConfigError("variance sweep needs an oracle with exact mean")
     rng = np.random.default_rng([cfg.seed, 0])
-    x = problem.initial(rng)
+    _, x = _start(problem, rng)  # replication 0's X_1
     ms = (1, 4, 16, 64, 256)
     print(f"{'m':>5} {'variance':>14}")
     variances = []

@@ -136,8 +136,8 @@ class SolverConfig:
     Construction checks the run settings; run() trusts them. Exactly the
     stop rules that are set apply (max_iters and max_oracle_calls are
     positive; check_method requires one that must fire); residual_target
-    needs record_residual, since the residual is what it stops on. The
-    baselines step with lam, else the policy's lam, else 1/(4L). The
+    needs record_residual, since the residual is what it stops on. sfbf
+    and seg step with lam, else the policy law's lam, else 1/(4L). The
     residual column is taken at step 1/(4L) (1 when L = 0). Rows are
     recorded every record_stride >= 1 iterations; H_k (record_energy)
     needs a known solution, a policy for its constant a, and a method other
@@ -204,12 +204,10 @@ def _quarter_inverse(L: float) -> float:
     return 1.0 / (4.0 * L) if L > 0 else 1.0
 
 
-def _baseline_lam(config: SolverConfig, problem) -> float:
-    if config.lam is not None:
-        return float(config.lam)
-    if config.policy is not None and config.policy.lam is not None:
-        return float(config.policy.lam)
-    return _quarter_inverse(problem.lipschitz)
+def _start(problem, rng):
+    """(eval_rng, X_1) from rng: the side stream's seed, then the start."""
+    eval_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+    return eval_rng, problem.initial(rng)
 
 
 class _Method(NamedTuple):
@@ -252,17 +250,16 @@ def check_method(method: str, config: SolverConfig) -> None:
 def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     """Drive `method` on `problem` until a stop rule fires.
 
-    The policy is checked once, before any draw: validate()'s messages
-    raise PolicyViolation under config.strict, else they are returned as
-    RunResult.diagnostics, and policy.schedule() raises on a fatal
-    hypothesis. The starting point comes from the problem (its sampler
-    consumes the stream first). One trajectory row describes the iterate
+    A policy is checked once, before any draw, whatever the method:
+    validate()'s messages raise PolicyViolation under config.strict, else
+    they are returned as RunResult.diagnostics, and policy.schedule()
+    raises on a fatal hypothesis. One trajectory row describes the iterate
     X_k, from k=1 (the initial point) at the configured stride, plus the
     final iterate; the iterates themselves are not kept. H_k is taken at
     the parameters of the step from X_k, and a run that residual_target
     stops records the residual that met it. If the oracle lacks an exact
-    mean, residuals are mini-batch estimates drawn from a side stream
-    seeded from the main one at start; the trajectory is flagged
+    mean, residuals are mini-batch estimates drawn from a side stream whose
+    seed is rng's first draw, before X_1 (_start); the trajectory is flagged
     accordingly. numpy overflow and invalid errors raise in the loop; they
     and a NumericFailure are raised again as NumericFailure naming the
     method, k, m_k, ||X_k|| and the policy diagnostics; k, m_k and ||X_k||
@@ -281,18 +278,22 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                         if pol is not None else ())
     if diagnostics and config.strict:
         raise policy_mod.PolicyViolation("; ".join(diagnostics))
+    law = (policy_mod.schedule(pol, problem.lipschitz, mu)
+           if pol is not None else None)
     if spec.params == "policy":
-        params_at = policy_mod.schedule(pol, problem.lipschitz, mu)
+        params_at = law
     elif spec.params == "baseline":
-        fixed = (0.0, _baseline_lam(config, problem), 1.0)
+        lam = (config.lam if config.lam is not None else law(1)[1] if law
+               else _quarter_inverse(problem.lipschitz))
+        fixed = (0.0, float(lam), 1.0)
         params_at = lambda k: fixed
     else:  # sa's step 1/sqrt(k)
         params_at = lambda k: (0.0, 1.0 / np.sqrt(k), 1.0)
     if rng is None:
         rng = np.random.default_rng()
 
-    eval_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
-    state = init_state(problem.initial(rng), rng)
+    eval_rng, x0 = _start(problem, rng)
+    state = init_state(x0, rng)
     step = risfbf_step                  # read per run(), so patches apply
     batches, extragradient = spec.batches, spec.extragradient
     res_lam = _quarter_inverse(problem.lipschitz)

@@ -20,6 +20,7 @@ from moninc.harness import (ConfigError, ExperimentConfig, compare,
                             confidence_interval, load_config, run_experiment)
 from moninc.oracle import BatchSchedule, batch_size
 from moninc.policy import PolicyViolation, alpha_at
+from capture import run_with_points
 
 SYNTHETIC_PROBLEM = ("kind = synthetic\ndim = 8\nmu = 1.0\nskew = 1.0\n"
                      "sigma = 0.2\nseed = 3")
@@ -576,6 +577,18 @@ class TestCli:
         assert "demo: method=risfbf" in out
         assert "residual: mean=" in out
 
+    def test_run_and_compare_print_every_summarised_column(self, tmp_path,
+                                                           capsys):
+        path = _write(tmp_path, BASE_INI.replace(
+            "max_iters = 40", "max_iters = 40\nrecord_energy = true"))
+        assert cli.main(["run", path, "--out-dir", str(tmp_path / "a")]) == 0
+        assert "  H_k: mean=" in capsys.readouterr().out
+        assert cli.main(["compare", path, "--out-dir",
+                         str(tmp_path / "b")]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split() == ["label", "method", "residual", "rel_error",
+                                  "gap", "H_k", "wall_s", "failed"]
+
     def test_config_error_exit_one(self, tmp_path, capsys):
         path = _write(tmp_path, BASE_INI.replace("method = risfbf",
                                                  "method = sgd"))
@@ -716,7 +729,22 @@ class TestCli:
     def test_bounds_without_a_regime_exit_one(self, tmp_path, capsys):
         path = _write(tmp_path, REDUCTION_B)
         assert cli.main(["bounds", path]) == 1
-        assert "bounds needs a [solver] regime" in capsys.readouterr().err
+        assert ("config error: bounds describes risfbf only, not sfbf"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("method", ["sfbf", "seg", "sa", "proxpoint"])
+    def test_bounds_describes_risfbf_runs_only(self, tmp_path, capsys,
+                                               method):
+        # q, B, C and a cost of 2 draws per iteration are risfbf's
+        text = BASE_INI.replace(
+            "batch_kind = constant\nbatch_m = 2",
+            "batch_kind = geometric\nbatch_p = 0.97").replace(
+            "method = risfbf", f"method = {method}")
+        assert cli.main(["bounds", _write(tmp_path, text)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: bounds describes risfbf only, "
+                       f"not {method}\n")
 
     def test_bounds_without_a_solution_stops_after_the_constants(
             self, tmp_path, capsys):
@@ -781,6 +809,23 @@ class TestCli:
         assert cli.main(["variance", path, "--repeats", "100"]) == 0
         out = capsys.readouterr().out
         assert "log-log slope" in out
+
+    def test_variance_measures_at_the_replication_0_start(self, tmp_path,
+                                                          monkeypatch):
+        # cournot draws its start after run()'s side-stream seed
+        path = _write(tmp_path, BASE_INI.replace(
+            SYNTHETIC_PROBLEM, "kind = cournot\nl_v = 100"))
+        seen = []
+        monkeypatch.setattr(cli, "empirical_variance",
+                            lambda oracle, x, m, repeats, rng:
+                            seen.append(x.copy()) or 1.0)
+        assert cli.main(["variance", path, "--repeats", "2"]) == 0
+        cfg = load_config(path)
+        _, points = run_with_points(cfg.build_problem(), cfg.method,
+                                    cfg.build_solver_config(),
+                                    np.random.default_rng([cfg.seed, 0]))
+        assert len(seen) == 5
+        assert all(x.tobytes() == points[0].tobytes() for x in seen)
 
     def test_variance_of_a_noiseless_oracle(self, tmp_path, capsys):
         path = _write(tmp_path, BASE_INI.replace("sigma = 0.2", "sigma = 0"))

@@ -275,6 +275,39 @@ class TestRun:
             run(prob, "risfbf", SolverConfig(policy=pol, max_iters=5),
                 np.random.default_rng(0))
 
+    @pytest.mark.parametrize("method", ["sfbf", "seg", "sa"])
+    def test_a_fatal_policy_stops_a_baseline_before_any_draw(self, method):
+        class NoBatch(StochasticOracle):
+            def batch(self, x, m, rng):
+                raise AssertionError("batch called")
+
+        prob = dataclasses.replace(
+            synthetic_build(dim=8, mu=0.0, skew_norm=1.0, sigma=0.2, seed=3),
+            oracle=NoBatch())
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        pol = self._policy()
+        with pytest.raises(PolicyViolation, match="without a positive mu"):
+            run(prob, method, SolverConfig(policy=pol, lam=0.1, max_iters=5),
+                rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("method", ["sfbf", "seg"])
+    def test_a_baseline_steps_at_the_lam_of_the_policy_law(self, method):
+        # strongly_monotone without lam: lambda_strong, which validate()
+        # checks, and not 1/(4L)
+        prob = cournot_build(100)
+        lam = policy_mod.lambda_strong(prob.strong_monotonicity,
+                                       prob.lipschitz, 0.5, 0.5)
+        out = run(prob, method, SolverConfig(policy=self._policy(),
+                                             max_iters=30),
+                  np.random.default_rng(4))
+        same = run(prob, method, SolverConfig(lam=lam, max_iters=30),
+                   np.random.default_rng(4))
+        assert out.X.tobytes() == same.X.tobytes()
+        assert out.X_bar.tobytes() == same.X_bar.tobytes()
+        assert out.diagnostics == ()
+
     def test_numeric_failure_names_method_iteration_batch_and_norm(self):
         class FailsOnSixthBatch(StochasticOracle):
             """Finite until its sixth batch, which is non-finite."""
@@ -303,11 +336,12 @@ class TestRun:
             record_residual=False), np.random.default_rng(0))
         assert float(match.group(1)) == pytest.approx(
             np.linalg.norm(before.X), rel=1e-5)
-        # a failed run returns no RunResult, so its message keeps them
-        pol = RegimePolicy(regime="strongly_monotone", alpha=0.1, lam=0.1)
+        # a failed run returns no RunResult, so its message keeps them; an
+        # advisory one, since a fatal one stops the run before any draw
+        pol = RegimePolicy(regime="asymptotic", alpha=0.0, lam=0.1)
         with pytest.raises(NumericFailure, match=re.escape(
-                "non-finite; policy diagnostics: strongly_monotone regime "
-                "without a positive mu")):
+                "minibatch estimate is non-finite; policy diagnostics: "
+                "alpha = 0 outside (0,1)")):
             run(problem(), "sfbf", dataclasses.replace(cfg, policy=pol),
                 np.random.default_rng(0))
 

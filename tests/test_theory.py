@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moninc.oracle import BatchSchedule
-from moninc.policy import RegimePolicy
+from moninc.policy import RegimePolicy, lipschitz_tilde, schedule
 from moninc.problems import synthetic_build
 from moninc.solvers import SolverConfig, run
 from moninc.theory import (contraction_q, geometric_constant,
@@ -250,9 +250,18 @@ def test_risfbf_polynomial_batches_give_polynomial_rate():
     log-log slope over k = 100..400 ranged over [-1.095, -0.966] at
     theta = 1, [-1.607, -1.478] at theta = 1.5 and [-2.119, -1.989] at
     theta = 2; each lies in the band [-theta - 0.25, -0.85 theta].
+
+    The same means stay under the envelope c/k^theta of
+    theory.poly_rate_constant, with c as `moninc bounds` prints it, at
+    every k = 1..401: the peak of the mean over c/k^theta is 1.12e-3 at
+    theta = 1, 1.92e-4 at theta = 1.5 and 3.46e-5 at theta = 2.
     """
     prob = synthetic_build(20, mu=1.0, skew_norm=1.0, sigma=0.5, seed=5)
     policy = RegimePolicy(regime="strongly_monotone", alpha=0.1)
+    mu, L_tilde = prob.strong_monotonicity, lipschitz_tilde(prob.lipschitz)
+    alpha1, lam, _ = schedule(policy, prob.lipschitz, mu)(1)
+    q = contraction_q(policy.a, policy.b, lam, mu, policy.alpha, L_tilde)
+    B = noise_envelope_B(prob.oracle.variance_bound, policy.a, lam, L_tilde)
     ks = np.arange(100, 401)
     slopes = []
     for theta in (1.0, 1.5, 2.0):
@@ -267,6 +276,10 @@ def test_risfbf_polynomial_batches_give_polynomial_rate():
         slope = float(np.polyfit(np.log(ks), np.log(mean_sq[ks - 1]), 1)[0])
         assert -theta - 0.25 <= slope <= -0.85 * theta, (theta, slope)
         slopes.append(slope)
+        # X_1 = 0 in every replication, so mean_sq[0] is bounds' dist1^2
+        c = poly_rate_constant(q, theta, mean_sq[0], alpha1, policy.alpha, B)
+        ratio = mean_sq * np.arange(1, len(mean_sq) + 1) ** theta / c
+        assert np.all(ratio <= 1.0), (theta, ratio.max())
     assert slopes[0] > slopes[1] > slopes[2]
 
 

@@ -8,15 +8,17 @@ constructor that batch_kind names, and SolverConfig, and [output]/[meta]
 keys feed ExperimentConfig. An omitted key takes the default of the builder
 or dataclass it feeds. Unknown sections or keys, keys that the chosen batch
 schedule does not read, policy keys other than lam without a regime,
-missing builder parameters without a default, and a method the config
-cannot run or stop (solvers.check_method) are hard errors, so typos cannot
-silently change an experiment. run_experiment runs the configured
-replications in order on the calling thread, each on a stream derived from
-(global seed, replication index), writes one trajectory CSV per
-replication plus a summary CSV, and returns an aggregated report; a
-replication that fails numerically or breaks its policy's hypotheses is
-counted and its reason kept in RunReport.errors, and the policy
-diagnostics that the replications return are kept in RunReport.diagnostics.
+missing builder parameters without a default, a lam, regime or
+record_energy that the method would not read, and a method the config
+cannot run or stop (SolverConfig and solvers.check_method) are hard
+errors, so typos cannot silently change an experiment. run_experiment runs
+the configured replications in order on the calling thread, each on a
+stream derived from (global seed, replication index), writes one
+trajectory CSV per replication plus a summary CSV, and returns an
+aggregated report; a replication that fails numerically or breaks its
+policy's hypotheses is counted and its reason kept in RunReport.errors,
+and the policy diagnostics that the replications return are kept in
+RunReport.diagnostics.
 Both CSVs take their columns from solvers.COLUMNS (the summary's rows lead
 with the replication index), and one cell formatter writes both. Reruns
 produce byte-identical CSV bodies except for the wall_time_s column.

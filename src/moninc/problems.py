@@ -140,6 +140,8 @@ def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
     absorbed by the first firm; the remaining quadratic coefficients are
     Uniform[0, L_C] and the linear ones Uniform[2, 3].
     """
+    if n_firms < 1:
+        raise ValueError("n_firms must be at least 1")
     r, d = 0.1, 1.0
     L_R = r * (n_firms + 1)
     L_D = L_V_target / 10.0
@@ -318,6 +320,11 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
     shared coordinates between neighbors, ground-truth weights Gaussian on
     groups 4 and 5 (coordinates 24..41, 0-based) and zero elsewhere.
     """
+    for name, size in (("n_groups", n_groups), ("group_size", group_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if overlap > group_size:
+        raise ValueError("overlap must not exceed group_size")
     groups = _build_groups(n_groups, group_size, overlap)
     d = int(groups[-1][-1]) + 1
     rng = np.random.default_rng(seed)
@@ -440,6 +447,11 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if skew_norm > 0 and dim < 2:
+        raise ValueError("skew_norm > 0 needs dim >= 2: a 1x1 skew matrix "
+                         "is zero")
     rng = np.random.default_rng(seed)
     d = int(dim)
     if skew_norm > 0:

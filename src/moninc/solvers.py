@@ -136,12 +136,11 @@ class SolverConfig:
     Construction checks the run settings; run() trusts them. Exactly the
     stop rules that are set apply (max_iters and max_oracle_calls are
     positive; check_method requires one that must fire); residual_target
-    needs record_residual, since the residual is what it stops on. sfbf
-    and seg step with lam, else the policy law's lam, else 1/(4L). The
-    residual column is taken at step 1/(4L) (1 when L = 0). Rows are
-    recorded every record_stride >= 1 iterations; H_k (record_energy)
-    needs a known solution, a policy for its constant a, and a method other
-    than sa.
+    needs record_residual, since the residual is what it stops on. lam is
+    the step of a run without a policy; record_energy needs a policy, for
+    H_k's constant a. The residual column is taken at step 1/(4L) (1 when
+    L = 0). Rows are recorded every record_stride >= 1 iterations; H_k is
+    nan without a known solution.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -164,6 +163,12 @@ class SolverConfig:
             raise ValueError("record_stride must be at least 1")
         if self.residual_target is not None and not self.record_residual:
             raise ValueError("residual_target needs record_residual")
+        if self.policy is not None and self.lam is not None:
+            raise ValueError("lam is read only without a policy: give the "
+                             "step as the policy's lam")
+        if self.record_energy and self.policy is None:
+            raise ValueError("record_energy needs a RegimePolicy, whose "
+                             "constant a H_k reads: set a regime")
 
 
 COLUMNS = ("k", "oracle_calls", "residual", "rel_error", "gap", "H_k",
@@ -230,7 +235,8 @@ METHODS = tuple(_TABLE)
 
 def check_method(method: str, config: SolverConfig) -> None:
     """ValueError unless method is known, config has the RegimePolicy it
-    needs, and config has a stop rule that must fire: max_iters, or
+    needs and no policy or lam that sa, which steps at 1/sqrt(k), would
+    ignore, and config has a stop rule that must fire: max_iters, or
     max_oracle_calls on a method that draws. residual_target alone may
     never be met, and a method that draws nothing never reaches
     max_oracle_calls."""
@@ -239,6 +245,10 @@ def check_method(method: str, config: SolverConfig) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if spec.params == "policy" and config.policy is None:
         raise ValueError(f"{method} needs a RegimePolicy: set a regime")
+    if spec.params is None and (config.policy is not None
+                                or config.lam is not None):
+        raise ValueError(f"{method} steps at 1/sqrt(k) and reads no policy "
+                         "or lam: set neither a regime nor lam")
     if config.max_iters is None and not spec.batches:
         raise ValueError(f"{method} draws nothing, so max_oracle_calls never "
                          "stops it: set max_iters")
@@ -250,12 +260,13 @@ def check_method(method: str, config: SolverConfig) -> None:
 def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     """Drive `method` on `problem` until a stop rule fires.
 
-    A policy is checked once, before any draw, whatever the method:
+    A policy is checked once, before any draw, at the law the run steps by:
     validate()'s messages raise PolicyViolation under config.strict, else
     they are returned as RunResult.diagnostics, and policy.schedule()
-    raises on a fatal hypothesis. One trajectory row describes the iterate
-    X_k, from k=1 (the initial point) at the configured stride, plus the
-    final iterate; the iterates themselves are not kept. H_k is taken at
+    raises on a fatal hypothesis. sfbf and seg step at (0, lam, 1), lam the
+    law's, else config.lam, else 1/(4L). One trajectory row describes the
+    iterate X_k, from k=1 (the initial point) at the configured stride, plus
+    the final iterate; the iterates themselves are not kept. H_k is taken at
     the parameters of the step from X_k, and a run that residual_target
     stops records the residual that met it. If the oracle lacks an exact
     mean, residuals are mini-batch estimates drawn from a side stream whose
@@ -283,7 +294,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     if spec.params == "policy":
         params_at = law
     elif spec.params == "baseline":
-        lam = (config.lam if config.lam is not None else law(1)[1] if law
+        lam = (law(1)[1] if law else config.lam if config.lam is not None
                else _quarter_inverse(problem.lipschitz))
         fixed = (0.0, float(lam), 1.0)
         params_at = lambda k: fixed
@@ -299,8 +310,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     res_lam = _quarter_inverse(problem.lipschitz)
     region = config.gap_region
     gap_live = region is not None and problem.affine_matrix is not None
-    energy_live = (config.record_energy and spec.params is not None
-                   and problem.solution is not None and pol is not None)
+    energy_live = config.record_energy and problem.solution is not None
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
     target = config.residual_target
     rows = []

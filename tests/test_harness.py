@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import glob
 import os
 import re
 import subprocess
@@ -102,11 +103,25 @@ class TestLoadConfig:
         lambda t: t.replace("regime = strongly_monotone", "regime = custum"),
         lambda t: t.replace("alpha = 0.1", "alpha = 1.5"),
         lambda t: t.replace("alpha = 0.1", "alpha = 0.1\nalpha_mode = rising"),
+        lambda t: t.replace(  # H_k reads the policy's constant a
+            "method = risfbf\nregime = strongly_monotone\nalpha = 0.1",
+            "method = sfbf\nrecord_energy = true"),
     ])
     def test_rejects_malformed_configs(self, tmp_path, mutate):
         with pytest.raises(ConfigError):
             cfg = _load(tmp_path, mutate(BASE_INI))
             cfg.build_batches()      # schedule errors surface on build
+
+    def test_benchmark_configs_pass_every_load_check(self, tmp_path):
+        # a rule that rejects a perfbench config fails here first
+        paths = sorted(glob.glob(os.path.join(
+            os.path.dirname(__file__), "..", "perfbench", "configs",
+            "*.ini")))
+        assert paths
+        for path in paths:
+            cfg = load_config(path, {"out_dir": str(tmp_path / "out")})
+            solvers.check_method(cfg.method, cfg.build_solver_config())
+        assert not (tmp_path / "out").exists()
 
     def test_policy_keys_without_regime_are_named(self, tmp_path):
         text = BASE_INI.replace("method = risfbf", "method = sfbf") \
@@ -595,6 +610,29 @@ class TestCli:
         assert cli.main(["run", path]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys", [
+        "lam = 5.0", "regime = custom\nalpha = 0.0\nlam = 1.0\nrho = 1.0"],
+        ids=["lam", "regime"])
+    def test_sa_with_a_step_it_would_not_read_exits_one(self, tmp_path,
+                                                        capsys, keys):
+        path = _write(tmp_path, BASE_INI.replace(
+            "method = risfbf\nregime = strongly_monotone\nalpha = 0.1",
+            f"method = sa\n{keys}"))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: sa steps at 1/sqrt(k)")
+        assert not out.exists()
+
+    def test_a_problem_its_builder_cannot_build_exits_one(self, tmp_path,
+                                                          capsys):
+        path = _write(tmp_path, BASE_INI.replace("dim = 8", "dim = 0"))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dim must be at least 1\n")
+        assert not out.exists()
+
     def test_missing_file_exit_three(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.ini")]) == 3
         assert "i/o error" in capsys.readouterr().err
@@ -740,6 +778,9 @@ class TestCli:
             "batch_kind = constant\nbatch_m = 2",
             "batch_kind = geometric\nbatch_p = 0.97").replace(
             "method = risfbf", f"method = {method}")
+        if method == "sa":  # which steps at 1/sqrt(k) and reads no regime
+            text = text.replace("regime = strongly_monotone\nalpha = 0.1\n",
+                                "")
         assert cli.main(["bounds", _write(tmp_path, text)]) == 1
         out, err = capsys.readouterr()
         assert out == ""

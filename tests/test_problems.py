@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,30 @@ class TestSynthetic:
         box = BoxSet(np.full(3, -10.0), np.full(3, 10.0))
         c = np.array([1.0, 0.0, 0.0])
         assert problems._polish(S, c, box, np.zeros(3), 0.1, 1e-12) is None
+
+
+_UNBUILDABLE = {  # the parameter that each call gets out of range
+    "dim": lambda: synthetic_build(dim=0),
+    "skew_norm": lambda: synthetic_build(dim=1, skew_norm=0.5),
+    "n_firms": lambda: cournot_build(100.0, n_firms=0),
+    "n_groups": lambda: cap_build(n_groups=0),
+    "group_size": lambda: cap_build(group_size=0),
+    "overlap": lambda: cap_build(group_size=3, overlap=4),
+}
+
+
+@pytest.mark.parametrize("name", _UNBUILDABLE)
+def test_builders_reject_sizes_they_cannot_build(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            _UNBUILDABLE[name]()
+
+
+def test_the_smallest_buildable_sizes_build():
+    assert synthetic_build(dim=1, skew_norm=0.0).lipschitz == 1.0
+    assert _dim(cournot_build(100.0, n_firms=1)) == 1
+    assert _dim(cap_build(n_groups=1, group_size=1, overlap=1)) == 2
 
 
 @pytest.mark.parametrize("build", [

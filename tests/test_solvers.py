@@ -277,6 +277,10 @@ class TestRun:
 
     @pytest.mark.parametrize("method", ["sfbf", "seg", "sa"])
     def test_a_fatal_policy_stops_a_baseline_before_any_draw(self, method):
+        # sa reads no policy, so carrying one is a config error
+        error, match = ((ValueError, "sa steps at 1/sqrt") if method == "sa"
+                        else (PolicyViolation, "without a positive mu"))
+
         class NoBatch(StochasticOracle):
             def batch(self, x, m, rng):
                 raise AssertionError("batch called")
@@ -287,9 +291,51 @@ class TestRun:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         pol = self._policy()
-        with pytest.raises(PolicyViolation, match="without a positive mu"):
-            run(prob, method, SolverConfig(policy=pol, lam=0.1, max_iters=5),
-                rng)
+        with pytest.raises(error, match=match):
+            run(prob, method, SolverConfig(policy=pol, max_iters=5), rng)
+        assert rng.bit_generator.state == state
+
+    def test_a_run_checks_the_law_it_steps_by(self):
+        # a baseline with its own lam would be checked at the policy's lam,
+        # and sa at a lam it never steps at: both stop before any draw
+        prob = cournot_build(100)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="lam is read only without"):
+            run(prob, "sfbf", SolverConfig(
+                policy=RegimePolicy("strongly_monotone", alpha=0.1),
+                lam=10.0, max_iters=3), rng)
+        with pytest.raises(ValueError, match=re.escape(
+                "sa steps at 1/sqrt(k) and reads no policy or lam")):
+            run(prob, "sa", SolverConfig(
+                policy=RegimePolicy("custom", alpha=0.0, lam=1.0, rho=1.0),
+                max_iters=3), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("method, settings", [
+        *((m, "lam-and-policy") for m in METHODS),
+        ("sa", "policy"), ("sa", "lam"),
+        *((m, "energy-without-policy") for m in ("sfbf", "seg", "sa"))])
+    def test_a_setting_the_method_would_not_read_is_an_error(self, method,
+                                                            settings):
+        class NoBatch(StochasticOracle):
+            def batch(self, x, m, rng):
+                raise AssertionError("batch called")
+
+        pol = RegimePolicy(regime="custom", alpha=0.0, lam=0.1, rho=1.0)
+        kw, match = {
+            "lam-and-policy": (dict(policy=pol, lam=0.1),
+                               "lam is read only without a policy"),
+            "policy": (dict(policy=pol), "sa steps at"),
+            "lam": (dict(lam=0.1), "sa steps at"),
+            "energy-without-policy": (dict(record_energy=True),
+                                      "record_energy needs a RegimePolicy"),
+        }[settings]
+        prob = dataclasses.replace(_noisy_problem(), oracle=NoBatch())
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            run(prob, method, SolverConfig(max_iters=3, **kw), rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("method", ["sfbf", "seg"])
@@ -342,7 +388,8 @@ class TestRun:
         with pytest.raises(NumericFailure, match=re.escape(
                 "minibatch estimate is non-finite; policy diagnostics: "
                 "alpha = 0 outside (0,1)")):
-            run(problem(), "sfbf", dataclasses.replace(cfg, policy=pol),
+            run(problem(), "sfbf",
+                dataclasses.replace(cfg, policy=pol, lam=None),
                 np.random.default_rng(0))
 
     @pytest.mark.parametrize("rep, k", [(0, 1060), (2, 1012)])
@@ -531,11 +578,10 @@ class TestRun:
     @pytest.mark.parametrize("method", ["sfbf", "seg"])
     def test_energy_rows_use_the_parameters_of_the_step(self, method):
         # the baselines step with (0, lam, 1), not with the policy's own
-        # (alpha_k, lam_k, rho_k); the policy only supplies the constant a
+        # (alpha_k, lam_k, rho_k); the policy supplies lam and the constant a
         prob = _noisy_problem()
-        pol = self._policy(alpha=0.3)
-        cfg = SolverConfig(policy=pol, lam=0.05, max_iters=20,
-                           record_energy=True)
+        pol = self._policy(alpha=0.3, lam=0.05)
+        cfg = SolverConfig(policy=pol, max_iters=20, record_energy=True)
         out, points = run_with_points(prob, method, cfg,
                                       np.random.default_rng(0))
         L_tilde = lipschitz_tilde(prob.lipschitz)
@@ -545,11 +591,14 @@ class TestRun:
         np.testing.assert_array_equal(out.trajectory.H_k, want)
 
     def test_sa_records_no_energy(self):
-        # the 1/sqrt(k) step has no (alpha_k, lam_k, rho_k) for H_k to read
+        # the 1/sqrt(k) step has no (alpha_k, lam_k, rho_k) for H_k to read:
+        # record_energy needs a policy, and sa carries none
+        with pytest.raises(ValueError, match="record_energy needs"):
+            SolverConfig(max_iters=10, record_energy=True)
         cfg = SolverConfig(policy=self._policy(), max_iters=10,
                            record_energy=True)
-        out = run(_noisy_problem(), "sa", cfg, np.random.default_rng(0))
-        assert np.all(np.isnan(out.trajectory.H_k))
+        with pytest.raises(ValueError, match="sa steps at 1/sqrt"):
+            run(_noisy_problem(), "sa", cfg, np.random.default_rng(0))
 
     def test_baseline_takes_the_policy_step_when_lam_is_unset(self):
         prob = _noisy_problem()
@@ -634,11 +683,13 @@ STEP_NAMES = ("risfbf_step", "sfbf_step", "seg_step", "sa_step",
 
 
 def _table_case(problem, method):
-    """A policy run for the inertial methods, an explicit step otherwise."""
+    """A policy run for the inertial methods, an explicit step for sfbf
+    and seg, and neither for sa."""
     lam = 0.25 / problem.lipschitz
     pol = RegimePolicy(regime="monotone_gap", alpha=0.2, lam=lam)
     return SolverConfig(
-        policy=pol if method in ("risfbf", "proxpoint") else None, lam=lam,
+        policy=pol if method in ("risfbf", "proxpoint") else None,
+        lam=lam if method in ("sfbf", "seg") else None,
         batches=BatchSchedule.polynomial(1.3), max_iters=25,
         max_oracle_calls=320)
 

@@ -8,7 +8,8 @@ constructor that batch_kind names, and SolverConfig, and [output]/[meta]
 keys feed ExperimentConfig. An omitted key takes the default of the builder
 or dataclass it feeds. Unknown sections or keys, keys that the chosen batch
 schedule does not read, policy keys other than lam without a regime,
-missing builder parameters without a default, a lam, regime or
+missing builder parameters without a default, [problem] values outside
+the builder's ranges (checked without building), a lam, regime or
 record_energy that the method would not read, and a method the config
 cannot run or stop (SolverConfig and solvers.check_method) are hard
 errors, so typos cannot silently change an experiment. run_experiment runs
@@ -263,11 +264,15 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     try:
-        cfg._builder_call()
+        # the builder's own range check, without building the problem
+        getattr(problems, f"_check_{kind}")(**_builder_arguments(cfg)[1])
         solvers.check_method(cfg.method, cfg.build_solver_config())
-    except ValueError as exc:  # ConfigError, or a policy or batch range check
-        # name the INI keys, not SolverConfig's fields
-        msg = re.sub(r"\w+", lambda w: _FIELD_KEYS.get(w[0], w[0]), str(exc))
+    except ValueError as exc:  # ConfigError, or a range check
+        # name the INI keys, not the builder's parameters or SolverConfig's
+        # fields
+        keys = _FIELD_KEYS | {name: key
+                              for key, (_, name) in _PROBLEMS[kind].items()}
+        msg = re.sub(r"\w+", lambda w: keys.get(w[0], w[0]), str(exc))
         raise ConfigError(f"{path}: {msg}") from None
     return cfg
 

@@ -89,6 +89,8 @@ class CournotInstance:
 
 
 _H_LOW, _H_HIGH = -5.0, 0.0  # the demand shocks h are Uniform[_H_LOW, _H_HIGH]
+_R = 0.1  # the slope r of the inverse demand
+_SHOCK_ROWS = 1 << 16  # rows of h a batch draws at once (5 MB at n = 10)
 
 
 def expected_min_uniform(c):
@@ -125,10 +127,28 @@ class _CournotOracle(StochasticOracle):
         self.variance_bound = float(np.sqrt(inst.n * width ** 2 / 12.0))
 
     def batch(self, x, m, rng):
+        # h is drawn _SHOCK_ROWS rows at a time, so memory is bounded
+        # whatever m is; an m within one block sums as one (m, n) draw
         inst = self.inst
-        h = rng.uniform(_H_LOW, _H_HIGH, (m, inst.n))
-        recourse = np.minimum(np.asarray(x, dtype=np.float64) / inst.eps, h)
-        return _cournot_deterministic(inst, x) + recourse.mean(axis=0)
+        c = np.asarray(x, dtype=np.float64) / inst.eps
+        total = sum(np.minimum(c, rng.uniform(
+                        _H_LOW, _H_HIGH, (min(_SHOCK_ROWS, m - i), inst.n))
+                    ).sum(axis=0) for i in range(0, m, _SHOCK_ROWS))
+        return _cournot_deterministic(inst, x) + total / m
+
+
+def _check_cournot(L_V_target, n_firms, **_):
+    """L_C = L_V - L_R - L_D, the part of L_V left to the costs; ValueError
+    for fewer than one firm or an L_V that leaves the costs nothing."""
+    if n_firms < 1:
+        raise ValueError("n_firms must be at least 1")
+    L_R = _R * (n_firms + 1)
+    L_C = L_V_target - L_R - L_V_target / 10.0
+    if L_C <= 0:
+        raise ValueError(
+            f"L_V_target={L_V_target:g} infeasible: needs "
+            f"L_V > L_R + L_V/10 with L_R={L_R:g}")
+    return L_C
 
 
 def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
@@ -140,16 +160,8 @@ def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
     absorbed by the first firm; the remaining quadratic coefficients are
     Uniform[0, L_C] and the linear ones Uniform[2, 3].
     """
-    if n_firms < 1:
-        raise ValueError("n_firms must be at least 1")
-    r, d = 0.1, 1.0
-    L_R = r * (n_firms + 1)
-    L_D = L_V_target / 10.0
-    L_C = L_V_target - L_R - L_D
-    if L_C <= 0:
-        raise ValueError(
-            f"L_V_target={L_V_target:g} infeasible: needs "
-            f"L_V > L_R + L_V/10 with L_R={L_R:g}")
+    L_C = _check_cournot(L_V_target, n_firms)
+    r, d = _R, 1.0
     rng = np.random.default_rng(seed)
     b_hat = np.empty(n_firms)
     b_hat[0] = L_C
@@ -311,6 +323,15 @@ class _CapResolvent(ResolventMap):
         return out
 
 
+def _check_cap(n_groups, group_size, overlap, **_):
+    """ValueError for group sizes cap_build cannot build."""
+    for name, size in (("n_groups", n_groups), ("group_size", group_size)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if overlap > group_size:
+        raise ValueError("overlap must not exceed group_size")
+
+
 def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
               overlap: int = 2, eta: float = 1e-4, noise_std: float = 0.1,
               ball_radius: float | None = None) -> ProblemInstance:
@@ -320,11 +341,7 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
     shared coordinates between neighbors, ground-truth weights Gaussian on
     groups 4 and 5 (coordinates 24..41, 0-based) and zero elsewhere.
     """
-    for name, size in (("n_groups", n_groups), ("group_size", group_size)):
-        if size < 1:
-            raise ValueError(f"{name} must be at least 1")
-    if overlap > group_size:
-        raise ValueError("overlap must not exceed group_size")
+    _check_cap(n_groups, group_size, overlap)
     groups = _build_groups(n_groups, group_size, overlap)
     d = int(groups[-1][-1]) + 1
     rng = np.random.default_rng(seed)
@@ -429,6 +446,17 @@ def _polish(M, c, box, y, lam, tol):
     return (x, resid) if resid <= tol else None
 
 
+def _check_synthetic(dim, mu, skew_norm, **_):
+    """ValueError for sizes synthetic_build cannot build."""
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if skew_norm > 0 and dim < 2:
+        raise ValueError("skew_norm > 0 needs dim >= 2: a 1x1 skew matrix "
+                         "is zero")
+
+
 def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
                     sigma: float = 0.0, bias: float = 0.0,
                     box_halfwidth: float = 1.0, seed: int = 0
@@ -445,13 +473,7 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
     rejected polish leaves the sweep as it was. Failing to reach 1e-10
     within 10^6 sweeps is a build error.
     """
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if skew_norm > 0 and dim < 2:
-        raise ValueError("skew_norm > 0 needs dim >= 2: a 1x1 skew matrix "
-                         "is zero")
+    _check_synthetic(dim, mu, skew_norm)
     rng = np.random.default_rng(seed)
     d = int(dim)
     if skew_norm > 0:

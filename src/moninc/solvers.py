@@ -140,7 +140,9 @@ class SolverConfig:
     the step of a run without a policy; record_energy needs a policy, for
     H_k's constant a. The residual column is taken at step 1/(4L) (1 when
     L = 0). Rows are recorded every record_stride >= 1 iterations; H_k is
-    nan without a known solution.
+    nan without a known solution. The gap column is the dual gap over
+    gap_region at the averaged iterate; a region needs a problem with an
+    affine mean.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -179,7 +181,8 @@ COLUMNS = ("k", "oracle_calls", "residual", "rel_error", "gap", "H_k",
 class Trajectory:
     """Per-iterate records: one array per column of COLUMNS, in order.
 
-    Metric entries are nan when not computed. residual_estimated is set
+    Metric entries are nan when not computed. gap is taken at the averaged
+    iterate X_bar_k, every other metric at X_k. residual_estimated is set
     when the residuals are mini-batch estimates (the oracle has no mean).
     """
 
@@ -266,15 +269,19 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     raises on a fatal hypothesis. sfbf and seg step at (0, lam, 1), lam the
     law's, else config.lam, else 1/(4L). One trajectory row describes the
     iterate X_k, from k=1 (the initial point) at the configured stride, plus
-    the final iterate; the iterates themselves are not kept. H_k is taken at
-    the parameters of the step from X_k, and a run that residual_target
-    stops records the residual that met it. If the oracle lacks an exact
-    mean, residuals are mini-batch estimates drawn from a side stream whose
-    seed is rng's first draw, before X_1 (_start); the trajectory is flagged
-    accordingly. numpy overflow and invalid errors raise in the loop; they
-    and a NumericFailure are raised again as NumericFailure naming the
-    method, k, m_k, ||X_k|| and the policy diagnostics; k, m_k and ||X_k||
-    belong to one iterate, the one being stepped from or recorded.
+    the final iterate; the iterates themselves are not kept. Its gap is
+    taken at X_bar_k, the rho-weighted average of Y_1..Y_{k-1} (X_1 at
+    k = 1), so the last row's gap is that of RunResult.X_bar; a gap_region
+    on a problem without an affine mean raises ValueError before any draw.
+    H_k is taken at the parameters of the step from X_k, and a run that
+    residual_target stops records the residual that met it. If the oracle
+    lacks an exact mean, residuals are mini-batch estimates drawn from a
+    side stream whose seed is rng's first draw, before X_1 (_start); the
+    trajectory is flagged accordingly. numpy overflow and invalid errors
+    raise in the loop; they and a NumericFailure are raised again as
+    NumericFailure naming the method, k, m_k, ||X_k|| and the policy
+    diagnostics; k, m_k and ||X_k|| belong to one iterate, the one being
+    stepped from or recorded.
 
     Each pass of the loop takes X_k's batch size and parameters once,
     decides whether a rule stops the run there (residual_target, then
@@ -282,6 +289,9 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     stride or the run stops, and then stops or steps.
     """
     check_method(method, config)
+    region = config.gap_region
+    if region is not None and problem.affine_matrix is None:
+        raise ValueError("gap_region needs a problem with an affine mean")
     spec = _TABLE[method]
     pol = config.policy
     mu = problem.strong_monotonicity if problem.strong_monotonicity > 0 else None
@@ -308,8 +318,6 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     step = risfbf_step                  # read per run(), so patches apply
     batches, extragradient = spec.batches, spec.extragradient
     res_lam = _quarter_inverse(problem.lipschitz)
-    region = config.gap_region
-    gap_live = region is not None and problem.affine_matrix is not None
     energy_live = config.record_energy and problem.solution is not None
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
     target = config.residual_target
@@ -338,8 +346,9 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                         r = merit.residual(problem, X, res_lam, rng=eval_rng)
                     err = (problem.rel_error_fn(X)
                            if problem.rel_error_fn is not None else np.nan)
-                    gap = (merit.dual_gap_affine(problem, X, region)
-                           if gap_live else np.nan)
+                    gap = (merit.dual_gap_affine(problem, state.x_bar(),
+                                                 region)
+                           if region is not None else np.nan)
                     H = (merit.energy_H(X, state.X_prev, problem.solution,
                                         alpha_k, rho_k, lam_k, L_tilde, pol.a)
                          if energy_live and k >= 2 else np.nan)

@@ -1,6 +1,8 @@
 """Problem-side references that tests compare the library against.
 
-`cournot_oracle_sample` is one literal draw of the capacity game's oracle.
+`cournot_oracle_sample` is one literal draw of the capacity game's oracle,
+and `cournot_batch_in_one_draw` its batch mean from one (m, n) draw of the
+shocks, as the oracle drew it before it drew them in blocks of rows.
 `extragradient_sweep` is `synthetic_build`'s extragradient sweep without
 the active-set polish, run on a stack of instances at once: row r
 iterates the 1-D sweep of instance r (step 1/(4 ||M_r||), from 0, until
@@ -18,6 +20,13 @@ def cournot_oracle_sample(inst: CournotInstance, x, h):
     h = np.asarray(h, dtype=np.float64)
     return _cournot_deterministic(inst, x) + np.minimum(
         np.asarray(x, dtype=np.float64) / inst.eps, h)
+
+
+def cournot_batch_in_one_draw(inst: CournotInstance, x, m, rng):
+    """The batch mean over m shocks h drawn as one (m, n) array."""
+    h = rng.uniform(-5.0, 0.0, (m, inst.n))
+    recourse = np.minimum(np.asarray(x, dtype=np.float64) / inst.eps, h)
+    return _cournot_deterministic(inst, x) + recourse.mean(axis=0)
 
 
 def extragradient_sweep(problems, tol=1e-12, max_iters=1_000_000):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import glob
+import importlib.util
 import os
 import re
 import subprocess
@@ -582,6 +583,46 @@ class TestCompare:
             compare([a, b])
         assert not (tmp_path / "shared").exists()
 
+    def test_the_benchmark_tracer_counts_every_draw_and_moves_no_iterate(
+            self, tmp_path):
+        # perfbench judges a traced cournot-cli round incorrect when its
+        # draw count differs from the solvers' or a final iterate moves;
+        # this is that round at a 600-draw budget. It reads perfbench and
+        # changes nothing there.
+        bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", os.path.join(bench, "tracing.py"))
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        paths = []
+        for label in ("risfbf", "sfbf", "sa"):
+            with open(os.path.join(bench, "configs", f"cournot_{label}.ini"),
+                      encoding="utf-8") as fh:
+                text = fh.read().replace("budget = 20000", "budget = 600")
+            paths.append(_write(tmp_path, text, name=f"{label}.ini"))
+
+        def compare_all(tag):
+            return cli.compare([
+                load_config(path, {"seed": 11, "replications": 2,
+                                   "out_dir": str(tmp_path / tag / str(i))})
+                for i, path in enumerate(paths)])
+
+        plain = compare_all("plain")
+        untraced = (solvers.minibatch_estimate, cli.compare)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            traced = compare_all("traced")
+        finally:
+            tracer.restore()
+        assert (solvers.minibatch_estimate, cli.compare) == untraced
+        results = [res for report in traced for res in report.results]
+        assert len(results) == 6
+        assert tracer.layer_metrics()["oracle.draws"] == sum(
+            res.oracle_calls for res in results)
+        assert [res.X.tobytes() for res in results] == [
+            res.X.tobytes() for report in plain for res in report.results]
+
 
 class TestCli:
     def test_run_exit_zero_and_prints_summary(self, tmp_path, capsys):
@@ -630,8 +671,41 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", path, "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "config error: dim must be at least 1\n")
+            f"config error: {path}: dim must be at least 1\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("problem, message", [
+        ("kind = synthetic\ndim = 1\nskew = 1.0",
+         "skew > 0 needs dim >= 2: a 1x1 skew matrix is zero"),
+        ("kind = cournot\nl_v = 1.2",
+         "l_v=1.2 infeasible: needs L_V > L_R + L_V/10 with L_R=1.1"),
+        ("kind = cap\ngroup_size = 3\noverlap = 4",
+         "overlap must not exceed group_size"),
+    ], ids=["synthetic", "cournot", "cap"])
+    def test_a_range_error_names_the_file_and_the_ini_key(
+            self, tmp_path, capsys, monkeypatch, problem, message):
+        # checked at load, before compare runs any config or builds any
+        # problem, so synthetic's reference solve never runs at load
+        built = []
+
+        def counted(build):
+            @functools.wraps(build)
+            def wrapper(**kwargs):
+                built.append(kwargs)
+                return build(**kwargs)
+            return wrapper
+
+        for kind in ("synthetic", "cournot", "cap"):
+            monkeypatch.setattr(problems, f"{kind}_build",
+                                counted(getattr(problems, f"{kind}_build")))
+        good = _write(tmp_path, BASE_INI, name="good.ini")
+        bad = _write(tmp_path, BASE_INI.replace(SYNTHETIC_PROBLEM, problem),
+                     name="bad.ini")
+        out = tmp_path / "out"
+        assert cli.main(["compare", good, bad, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: {message}\n")
+        assert not out.exists() and built == []
 
     def test_missing_file_exit_three(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.ini")]) == 3

@@ -19,7 +19,8 @@ from moninc.problems import (
 )
 from reference_core import BallResolvent, resolvent_product
 from reference_oracles import explicit_cap_batch
-from reference_problems import cournot_oracle_sample, extragradient_sweep
+from reference_problems import (cournot_batch_in_one_draw,
+                                cournot_oracle_sample, extragradient_sweep)
 
 
 def _dim(prob):
@@ -86,6 +87,22 @@ class TestCournot:
         exact = prob.oracle.mean(x)
         sd = prob.oracle.variance_bound / np.sqrt(n_draws)
         assert np.linalg.norm(draws - exact) <= 3.0 * sd
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 9])
+    def test_batch_draws_its_shocks_in_bounded_blocks(self, monkeypatch, m):
+        # blocks of 4 rows: m <= 4 is one block and stays bitwise the
+        # single draw; a larger m sums its block sums in order
+        monkeypatch.setattr(problems, "_SHOCK_ROWS", 4)
+        prob = cournot_build(100.0, seed=0)
+        x = np.random.default_rng(3).uniform(-0.2, 1.0, 10)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = prob.oracle.batch(x, m, rng)
+        want = cournot_batch_in_one_draw(prob.detail, x, m, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if m <= 4:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_oracle_is_monotone_on_sample_pairs(self):
         prob = cournot_build(100.0, seed=0)

@@ -496,19 +496,33 @@ class TestRun:
                                       np.random.default_rng(4))
         traj = out.trajectory
         assert list(traj.k) == [1, 6, 11, 13]
+        # X_bar_1 is X_1; a run stopped at k - 1 ends at X_bar_k
+        averages = [points[0]] + [
+            run(prob, "risfbf", dataclasses.replace(cfg, max_iters=k - 1),
+                np.random.default_rng(4)).X_bar for k in traj.k[1:]]
         assert list(traj.gap) == [dual_gap_affine(prob, x, region)
-                                  for x in points]
+                                  for x in averages]
+        assert traj.gap[-1] == dual_gap_affine(prob, out.X_bar, region)
+        # the averaged iterate, not X_k: the two differ after a step
+        assert traj.gap[-1] != dual_gap_affine(prob, out.X, region)
         assert np.all(np.isfinite(traj.gap))
-        # nan without a region, and without an affine mean
+        # nan without a region
         no_region = dataclasses.replace(cfg, gap_region=None)
         assert np.all(np.isnan(run(prob, "risfbf", no_region,
                                    np.random.default_rng(4)).trajectory.gap))
+
+    def test_a_gap_region_without_an_affine_mean_is_an_error(self):
+        # the game has no affine form, so no gap can be taken: run() says
+        # so before any draw instead of recording a nan column
         cournot = cournot_build(100)
         box_region = GapRegion(np.zeros(cournot.detail.n), 1.0)
-        out = run(cournot, "sfbf", SolverConfig(max_iters=5,
-                                                 gap_region=box_region),
-                  np.random.default_rng(4))
-        assert np.all(np.isnan(out.trajectory.gap))
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="gap_region needs a problem "
+                                             "with an affine mean"):
+            run(cournot, "sfbf", SolverConfig(max_iters=5,
+                                              gap_region=box_region), rng)
+        assert rng.bit_generator.state == before
 
     def test_baseline_step_default_is_quarter_inverse_lipschitz(self):
         prob = _noisy_problem()

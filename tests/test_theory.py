@@ -6,7 +6,7 @@ import pytest
 from moninc.oracle import BatchSchedule
 from moninc.policy import RegimePolicy, lipschitz_tilde, schedule
 from moninc.problems import synthetic_build
-from moninc.solvers import SolverConfig, run
+from moninc.solvers import SolverConfig
 from moninc.theory import (contraction_q, geometric_constant,
                            noise_envelope_B, oracle_cost, poly_rate_constant,
                            tau_eps)
@@ -192,22 +192,31 @@ def _assert_oracle_complexity_is_inverse_epsilon(bias):
     """Criterion 4's instance (with the given oracle bias) and policy,
     geometric(1/1.02) batches, 20 replications at seeds [31, rep]: the
     log-log slope of the mean E||X - x*||^2 against budgets 2k..512k lies
-    in [-1.1, -0.9], and each 4x budget adds 60 to 75 iterations."""
+    in [-1.1, -0.9], and each 4x budget adds 60 to 75 iterations.
+
+    One run per replication to the largest budget: a run that a budget
+    stops is the first iterates of the longer run, so that budget's X and
+    k are those of the last row with oracle_calls <= budget."""
     prob = synthetic_build(20, mu=1.0, skew_norm=1.0, sigma=0.5, bias=bias,
                            seed=5)
     policy = RegimePolicy(regime="strongly_monotone", alpha=0.1)
     budgets = (2_000, 8_000, 32_000, 128_000, 512_000)
-    errors, iterations = [], []
-    for budget in budgets:
-        cfg = SolverConfig(policy=policy,
-                           batches=BatchSchedule.geometric(1.0 / 1.02),
-                           max_oracle_calls=budget, record_residual=False)
-        results = [run(prob, "risfbf", cfg, np.random.default_rng([31, rep]))
-                   for rep in range(20)]
-        errors.append(np.mean([np.sum((r.X - prob.solution) ** 2)
-                               for r in results]))
-        assert {r.iterations for r in results} == {results[0].iterations}
-        iterations.append(results[0].iterations)
+    cfg = SolverConfig(policy=policy,
+                       batches=BatchSchedule.geometric(1.0 / 1.02),
+                       max_oracle_calls=budgets[-1], record_residual=False)
+    sq_errors, stops = [], []        # per replication, one entry per budget
+    for rep in range(20):
+        out, points = run_with_points(prob, "risfbf", cfg,
+                                      np.random.default_rng([31, rep]))
+        traj = out.trajectory
+        rows = np.searchsorted(traj.oracle_calls, budgets, side="right") - 1
+        sq_errors.append([np.sum((points[i] - prob.solution) ** 2)
+                          for i in rows])
+        stops.append([int(traj.k[i]) for i in rows])
+    errors = [np.mean(per_budget) for per_budget in zip(*sq_errors)]
+    assert all(s == stops[0] for s in stops)
+    iterations = stops[0]
+    assert iterations == [157, 223, 291, 361, 431]
     slope = float(np.polyfit(np.log(budgets), np.log(errors), 1)[0])
     assert -1.1 <= slope <= -0.9, slope
     assert all(60 <= b - a <= 75

@@ -155,11 +155,6 @@ def _cmd_bounds(args) -> int:
     print(f"L={L:.6g} L_tilde={L_tilde:.6g} mu={mu:.6g} lam={lam:.6g}")
     print(f"contraction q={q:.6g}")
     print(f"noise constant B={B:.6g}")
-
-    if problem.solution is None:
-        print("no reference solution on this problem; "
-              "envelope constants need dist(X_1, solution)")
-        return 0
     _, x1 = _start(problem, np.random.default_rng([cfg.seed, 0]))
     dist1_sq = float(np.sum((x1 - problem.solution) ** 2))
     print(f"dist(X_1, solution)^2 = {dist1_sq:.6g} (replication 0 start)")

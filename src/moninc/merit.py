@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 _GAP_TOL, _GAP_MAX_ITERS = 1e-10, 20_000  # dual_gap_affine's ascent stop
-_CONTAINS_TOL = 1e-10  # GapRegion.contains' slack
+_CONTAINS_TOL = 1e-10  # the slack of GapRegion.contains and lies_in
 _EST_BATCH = 10_000  # draws of residual's estimate when the mean is unknown
 
 
@@ -98,6 +98,17 @@ class GapRegion:
                         and np.all(p <= self.C.upper + _CONTAINS_TOL))
         return bool(np.linalg.norm(p - self.C.center)
                     <= self.C.radius + _CONTAINS_TOL)
+
+    def lies_in(self, box):
+        """Whether C lies in box (None is the whole space), up to
+        _CONTAINS_TOL."""
+        if box is None:
+            return True
+        C = self.C
+        lo, hi = ((C.lower, C.upper) if isinstance(C, BoxSet)
+                  else (C.center - C.radius, C.center + C.radius))
+        return bool(np.all(lo >= box.lower - _CONTAINS_TOL)
+                    and np.all(hi <= box.upper + _CONTAINS_TOL))
 
     def support_point(self, g):
         """argmax over C of <g, p> for the linear (skew-coupling) case."""

@@ -8,8 +8,8 @@ mean operator, and whatever ground truth is available:
   recourse term (merely or strongly monotone depending on configuration),
 * an overlapping group-lasso regression posed as a primal-dual saddle
   point (monotone, affine mean), and
-* a synthetic affine operator mu*I + S with S skew, whose reference
-  solution is computed at build time (the verification workhorse).
+* a synthetic affine operator mu*I + S with S skew (the verification
+  workhorse), whose x* comes from the affine-box solve the game shares.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ class ProblemInstance:
     initial samples the start from the replication stream, rng -> x0 as a
     float64 array (a fixed start draws nothing), whose length is the
     problem's dimension (no field repeats it); solution is a point with
-    zero residual when one is known (synthetic); rel_error_fn maps an iterate
-    to a scalar relative error when a ground truth exists (synthetic, and the
-    regression weights for the group-lasso problem); affine_matrix/
-    affine_shift are set when the mean operator is exactly x -> M x + c,
-    enabling the restricted dual gap.
+    zero residual when one is known (the box problems); rel_error_fn maps an
+    iterate to a scalar relative error when a ground truth exists (x*, or the
+    regression weights for the group-lasso problem); the mean is x -> M x + c
+    with M = affine_matrix, c = affine_shift on feasible, or everywhere when
+    feasible is None, which enables the restricted dual gap.
     """
 
     oracle: StochasticOracle
@@ -158,7 +158,9 @@ def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
     The constant decomposes as L_V = L_C + L_R + L_D with L_R = r(N+1),
     L_D = 1/eps where the smoothing is eps = 10/L_V, and L_C = max b_hat
     absorbed by the first firm; the remaining quadratic coefficients are
-    Uniform[0, L_C] and the linear ones Uniform[2, 3].
+    Uniform[0, L_C] and the linear ones Uniform[2, 3]. On the box x >= 0
+    the recourse min(x/eps, h) is h, so the mean is A x + a - d + E h with
+    A = diag(b_hat) + r(11^T + I), and x* is the affine-box solve's.
     """
     L_C = _check_cournot(L_V_target, n_firms)
     r, d = _R, 1.0
@@ -170,12 +172,12 @@ def cournot_build(L_V_target: float, seed: int = 0, n_firms: int = 10,
     box = BoxSet(np.zeros(n_firms), np.full(n_firms, float(box_upper)))
     inst = CournotInstance(n=n_firms, r=r, d=d, a=a, b_hat=b_hat,
                            eps=10.0 / L_V_target, box=box)
-    return ProblemInstance(
+    A = np.diag(b_hat) + r * (np.ones((n_firms, n_firms)) + np.eye(n_firms))
+    return _affine_box_problem(
+        A, a - d + (_H_LOW + _H_HIGH) / 2.0, box,
         oracle=_CournotOracle(inst),
-        resolvent=BoxResolvent(box),
         lipschitz=float(L_V_target),
         strong_monotonicity=float(np.min(b_hat) + r),
-        feasible=box,
         initial=lambda rng_: rng_.uniform(0.0, 1.0, n_firms),
         detail=inst,
     )
@@ -388,7 +390,7 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
 
 
 # ----------------------------------------------------------------------
-# Synthetic affine instance with computed reference solution
+# Affine means on a box: the shared reference solve; the synthetic instance
 # ----------------------------------------------------------------------
 
 class _AffineGaussianOracle(StochasticOracle):
@@ -446,6 +448,49 @@ def _polish(M, c, box, y, lam, tol):
     return (x, resid) if resid <= tol else None
 
 
+def _solve_affine_box(M, c, box):
+    """x* in box with <M x* + c, y - x*> >= 0 for all y in box.
+
+    A deterministic extragradient sweep from 0 with step lam = 1/(4 ||M||)
+    runs to natural residual 1e-12. Every 500 sweeps it tries a polish: it
+    reads the active bounds off its projected trial point, solves the free
+    coordinates' linear system, and stops there if that point's residual at
+    lam is at most 1e-12; a rejected polish leaves the sweep as it was.
+    Failing to reach 1e-10 within 10^6 sweeps raises RuntimeError.
+    """
+    L = float(np.linalg.norm(M, 2))
+    lam = 1.0 / (4.0 * L) if L > 0 else 0.25
+    x = np.zeros(c.shape[0])
+    resid = np.inf
+    for sweep in range(1, _REF_MAX_ITERS + 1):
+        y = project_box(x - lam * (M @ x + c), box)
+        resid = float(np.linalg.norm(x - y))
+        if resid <= _REF_TOL:
+            break
+        if sweep % _POLISH_EVERY == 0:
+            polished = _polish(M, c, box, y, lam, _REF_TOL)
+            if polished is not None:
+                x, resid = polished
+                break
+        x = project_box(x - lam * (M @ y + c), box)
+    if resid > 1e-10:
+        raise RuntimeError(
+            f"reference solve stalled at residual {resid:.3e} "
+            f"after {_REF_MAX_ITERS} iterations")
+    return x
+
+
+def _affine_box_problem(M, c, box, **fields) -> ProblemInstance:
+    """A problem with mean x -> M x + c on box, its projection, x* and
+    rel_error_fn ||z - x*|| / ||x*|| (None when x* = 0); fields the rest."""
+    xs = _solve_affine_box(M, c, box)
+    xn = float(np.linalg.norm(xs))
+    return ProblemInstance(
+        resolvent=BoxResolvent(box), feasible=box, solution=xs,
+        rel_error_fn=(lambda z: float(np.linalg.norm(z - xs) / xn))
+        if xn > 0 else None, affine_matrix=M, affine_shift=c, **fields)
+
+
 def _check_synthetic(dim, mu, skew_norm, **_):
     """ValueError for sizes synthetic_build cannot build."""
     if mu < 0:
@@ -465,13 +510,7 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
 
     S is a random skew matrix rescaled to the requested spectral norm, so
     the symmetric part of M is exactly mu*I. The reference solution is
-    computed at build time by a deterministic extragradient sweep with step
-    lam = 1/(4 ||M||) run to natural residual 1e-12. Every 500 sweeps the
-    sweep tries a polish: it reads the active bounds off its projected
-    trial point, solves the linear system of the free coordinates, and
-    stops there if that point's residual at lam is at most 1e-12; a
-    rejected polish leaves the sweep as it was. Failing to reach 1e-10
-    within 10^6 sweeps is a build error.
+    _solve_affine_box's, computed at build time.
     """
     _check_synthetic(dim, mu, skew_norm)
     rng = np.random.default_rng(seed)
@@ -487,41 +526,7 @@ def synthetic_build(dim: int = 20, mu: float = 1.0, skew_norm: float = 1.0,
     c = g / np.linalg.norm(g)
     box = BoxSet(np.full(d, -float(box_halfwidth)),
                  np.full(d, float(box_halfwidth)))
-
-    L = float(np.linalg.norm(M, 2))
-    lam = 1.0 / (4.0 * L) if L > 0 else 0.25
-    x = np.zeros(d)
-    mean = lambda z: M @ z + c
-    resid = np.inf
-    for sweep in range(1, _REF_MAX_ITERS + 1):
-        fx = mean(x)
-        y = project_box(x - lam * fx, box)
-        resid = float(np.linalg.norm(x - y))
-        if resid <= _REF_TOL:
-            break
-        if sweep % _POLISH_EVERY == 0:
-            polished = _polish(M, c, box, y, lam, _REF_TOL)
-            if polished is not None:
-                x, resid = polished
-                break
-        x = project_box(x - lam * mean(y), box)
-    if resid > 1e-10:
-        raise RuntimeError(
-            f"reference solve stalled at residual {resid:.3e} "
-            f"after {_REF_MAX_ITERS} iterations")
-
-    xr = x.copy()
-    xn = float(np.linalg.norm(xr))
-    return ProblemInstance(
-        oracle=_AffineGaussianOracle(M, c, sigma, bias),
-        resolvent=BoxResolvent(box),
-        lipschitz=L,
-        strong_monotonicity=float(mu),
-        feasible=box,
-        solution=xr,
-        rel_error_fn=(lambda z: float(np.linalg.norm(z - xr) / xn))
-        if xn > 0 else None,
-        affine_matrix=M,
-        affine_shift=c,
-        initial=lambda rng_: np.zeros(d),
-    )
+    return _affine_box_problem(
+        M, c, box, oracle=_AffineGaussianOracle(M, c, sigma, bias),
+        lipschitz=float(np.linalg.norm(M, 2)), strong_monotonicity=float(mu),
+        initial=lambda rng_: np.zeros(d))

@@ -139,10 +139,10 @@ class SolverConfig:
     needs record_residual, since the residual is what it stops on. lam is
     the step of a run without a policy; record_energy needs a policy, for
     H_k's constant a. The residual column is taken at step 1/(4L) (1 when
-    L = 0). Rows are recorded every record_stride >= 1 iterations; H_k is
-    nan without a known solution. The gap column is the dual gap over
-    gap_region at the averaged iterate; a region needs a problem with an
-    affine mean.
+    L = 0). Rows are recorded every record_stride >= 1 iterations; H_k
+    needs a problem with a known solution. The gap column is the dual gap
+    over gap_region at the averaged iterate; a region needs a problem with
+    an affine mean and must lie in its feasible set.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -271,8 +271,10 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     iterate X_k, from k=1 (the initial point) at the configured stride, plus
     the final iterate; the iterates themselves are not kept. Its gap is
     taken at X_bar_k, the rho-weighted average of Y_1..Y_{k-1} (X_1 at
-    k = 1), so the last row's gap is that of RunResult.X_bar; a gap_region
-    on a problem without an affine mean raises ValueError before any draw.
+    k = 1), so the last row's gap is that of RunResult.X_bar. A gap_region
+    on a problem without an affine mean or outside its feasible set, and
+    record_energy on a problem without a known solution, raise ValueError
+    before any draw.
     H_k is taken at the parameters of the step from X_k, and a run that
     residual_target stops records the residual that met it. If the oracle
     lacks an exact mean, residuals are mini-batch estimates drawn from a
@@ -292,6 +294,10 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     region = config.gap_region
     if region is not None and problem.affine_matrix is None:
         raise ValueError("gap_region needs a problem with an affine mean")
+    if region is not None and not region.lies_in(problem.feasible):
+        raise ValueError("gap_region must lie in the problem's feasible set")
+    if config.record_energy and problem.solution is None:
+        raise ValueError("record_energy needs a problem with a known solution")
     spec = _TABLE[method]
     pol = config.policy
     mu = problem.strong_monotonicity if problem.strong_monotonicity > 0 else None
@@ -318,7 +324,6 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     step = risfbf_step                  # read per run(), so patches apply
     batches, extragradient = spec.batches, spec.extragradient
     res_lam = _quarter_inverse(problem.lipschitz)
-    energy_live = config.record_energy and problem.solution is not None
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
     target = config.residual_target
     rows = []
@@ -351,7 +356,7 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                            if region is not None else np.nan)
                     H = (merit.energy_H(X, state.X_prev, problem.solution,
                                         alpha_k, rho_k, lam_k, L_tilde, pol.a)
-                         if energy_live and k >= 2 else np.nan)
+                         if config.record_energy and k >= 2 else np.nan)
                     rows.append((k, state.oracle_calls, r, err, gap, H,
                                  time.perf_counter() - t0))
                 if stopped_by:

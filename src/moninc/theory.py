@@ -11,6 +11,7 @@ here is measured.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .oracle import BatchSchedule, batch_size
 from .policy import _lambda_strong_tilde, _rho_strong
@@ -120,13 +121,27 @@ def tau_eps(p: float, q: float, C_or_Chat: float, eps: float,
 
 
 def oracle_cost(schedule: BatchSchedule, K: int, calls_per_iter: int) -> int:
-    """Total draws over iterations 1..K at 1 or 2 oracle calls per step."""
+    """Total draws over iterations 1..K at 1 or 2 oracle calls per step.
+
+    The sizes are batch_size's. A geometric schedule carries p^-k as the
+    exact integer ratio num/den from k - 1, one multiplication each per k,
+    where batch_size would raise the rational p to the power -k afresh.
+    """
     if K < 1:
         raise ValueError("K must be at least 1")
     if calls_per_iter not in (1, 2):
         raise ValueError("calls_per_iter must be 1 or 2")
-    return calls_per_iter * sum(batch_size(schedule, k)
-                                for k in range(1, K + 1))
+    if schedule.kind != "geometric":
+        return calls_per_iter * sum(batch_size(schedule, k)
+                                    for k in range(1, K + 1))
+    p = Fraction(schedule.p)
+    num = den = 1
+    total = 0
+    for _ in range(K):
+        num *= p.denominator
+        den *= p.numerator
+        total += max(1, num // den)
+    return calls_per_iter * total
 
 
 def poly_rate_constant(q: float, theta: float, dist1_sq: float, alpha1: float,

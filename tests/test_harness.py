@@ -861,17 +861,22 @@ class TestCli:
         assert err == ("config error: bounds describes risfbf only, "
                        f"not {method}\n")
 
-    def test_bounds_without_a_solution_stops_after_the_constants(
-            self, tmp_path, capsys):
-        text = BASE_INI.replace(SYNTHETIC_PROBLEM,
-                                "kind = cournot\nl_v = 100").replace(
+    def test_bounds_on_the_game_reads_its_solution(self, tmp_path, capsys):
+        # polynomial batches: the envelope needs no geometric cost sum
+        path = _write(tmp_path, BASE_INI.replace(
+            SYNTHETIC_PROBLEM, "kind = cournot\nl_v = 100").replace(
             "batch_kind = constant\nbatch_m = 2",
-            "batch_kind = geometric\nbatch_p = 0.97")
-        assert cli.main(["bounds", _write(tmp_path, text)]) == 0
+            "batch_kind = polynomial\nbatch_theta = 1.5"))
+        assert cli.main(["bounds", path]) == 0
         out = capsys.readouterr().out
+        problem = load_config(path).build_problem()
+        _, x1 = solvers._start(problem, np.random.default_rng([9, 0]))
+        dist1_sq = float(np.sum((x1 - problem.solution) ** 2))
         assert "contraction q=" in out
-        assert "no reference solution on this problem" in out
-        assert "sampling" not in out
+        assert (f"dist(X_1, solution)^2 = {dist1_sq:.6g} "
+                "(replication 0 start)") in out
+        assert "polynomial sampling theta=1.5: c=" in out
+        assert "(envelope c/k^theta)" in out
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--workers", "2"], ["bounds", "--replications", "7"],

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -124,7 +125,8 @@ class TestDualGap:
 
     def test_requires_affine_structure(self):
         from moninc.problems import cournot_build
-        prob = cournot_build(100.0, seed=0)
+        prob = dataclasses.replace(cournot_build(100.0, seed=0),
+                                   affine_matrix=None, affine_shift=None)
         with pytest.raises(UnsupportedOperation):
             dual_gap_affine(prob, np.zeros(10), GapRegion(np.zeros(10), 1.0))
 

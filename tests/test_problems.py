@@ -34,6 +34,10 @@ def _single_firm():
                            box=BoxSet(np.zeros(1), np.array([10.0])))
 
 
+_COURNOT_GRID = [(box_upper, L, seed) for box_upper in (10.0, 0.3)
+                 for L in (10.0, 100.0, 1000.0) for seed in range(3)]
+
+
 class TestCournot:
     def test_single_firm_sample_value(self):
         inst = _single_firm()
@@ -133,16 +137,53 @@ class TestCournot:
         inst = prob.detail
         A = np.diag(inst.b_hat) + inst.r * (np.ones((10, 10)) + np.eye(10))
         assert np.linalg.norm(A, 2) == pytest.approx(89.10, abs=5e-3)
+        np.testing.assert_array_equal(prob.affine_matrix, A)
+        np.testing.assert_array_equal(prob.affine_shift,
+                                      inst.a - inst.d - 2.5)
         rng = np.random.default_rng(8)
         box = inst.box
         for x in rng.uniform(box.lower, box.upper, size=(1000, 10)):
-            np.testing.assert_allclose(cournot_mean(inst, x),
-                                       A @ x + inst.a - inst.d - 2.5,
-                                       rtol=0.0, atol=1e-11)
+            np.testing.assert_allclose(
+                cournot_mean(inst, x),
+                prob.affine_matrix @ x + prob.affine_shift,
+                rtol=0.0, atol=1e-11)
         x, y = rng.uniform(box.lower, box.upper, size=(2, 10))
         noise = [prob.oracle.batch(z, 7, np.random.default_rng(9))
                  - prob.oracle.mean(z) for z in (x, y)]
         np.testing.assert_allclose(noise[0], noise[1], rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("box_upper", [10.0, 0.3])
+    @pytest.mark.parametrize("L", [10.0, 100.0, 1000.0])
+    def test_solution_meets_ref_tol(self, L, box_upper):
+        for seed in range(3):
+            prob = cournot_build(L, seed=seed, box_upper=box_upper)
+            x = prob.solution
+            assert residual(prob, x, 1.0 / (4.0 * prob.lipschitz)) <= 1e-12
+            assert prob.feasible is prob.resolvent.box
+            assert prob.rel_error_fn(2.0 * x) == pytest.approx(1.0)
+
+    def test_an_interior_solution_is_the_affine_root(self):
+        # the polish at sweep 500 solves A x = -c with every coordinate
+        # free, so an interior x* is that solve to the last bit
+        interior = 0
+        for box_upper, L, seed in _COURNOT_GRID:
+            prob = cournot_build(L, seed=seed, box_upper=box_upper)
+            x, box = prob.solution, prob.feasible
+            if np.all((box.lower < x) & (x < box.upper)):
+                interior += 1
+                np.testing.assert_array_equal(
+                    x, -np.linalg.solve(prob.affine_matrix,
+                                        prob.affine_shift))
+        assert interior == 14
+
+    def test_a_solution_on_a_bound_matches_the_sweep(self):
+        # with capacities capped at 0.3 some firms sit at the cap
+        built = [cournot_build(L, seed=seed, box_upper=0.3)
+                 for L, seed in ((10.0, 0), (10.0, 1), (10.0, 2), (100.0, 0))]
+        swept = extragradient_sweep(built, tol=1e-12)
+        for prob, ref in zip(built, swept):
+            assert np.any(prob.solution == 0.3)
+            assert np.linalg.norm(prob.solution - ref) <= 1e-9
 
     def test_initial_point_sampler_uses_unit_cube(self):
         prob = cournot_build(100.0, seed=0)

@@ -512,9 +512,10 @@ class TestRun:
                                    np.random.default_rng(4)).trajectory.gap))
 
     def test_a_gap_region_without_an_affine_mean_is_an_error(self):
-        # the game has no affine form, so no gap can be taken: run() says
-        # so before any draw instead of recording a nan column
-        cournot = cournot_build(100)
+        # without its affine form no gap can be taken: run() says so
+        # before any draw instead of recording a nan column
+        cournot = dataclasses.replace(cournot_build(100), affine_matrix=None,
+                                      affine_shift=None)
         box_region = GapRegion(np.zeros(cournot.detail.n), 1.0)
         rng = np.random.default_rng(4)
         before = rng.bit_generator.state
@@ -523,6 +524,52 @@ class TestRun:
             run(cournot, "sfbf", SolverConfig(max_iters=5,
                                               gap_region=box_region), rng)
         assert rng.bit_generator.state == before
+
+    def test_a_gap_region_outside_the_feasible_set_is_an_error(self):
+        # the game's mean is affine only on its box [0, 10]^10, so a ball
+        # around 0 would record the affine formula's value, not the gap
+        cournot = cournot_build(100)
+        cfg = SolverConfig(max_iters=5, gap_region=GapRegion(np.zeros(10),
+                                                              1.0))
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="gap_region must lie in the "
+                                             "problem's feasible set"):
+            run(cournot, "sfbf", cfg, rng)
+        assert rng.bit_generator.state == before
+
+    def test_the_game_records_its_gap_over_its_box(self):
+        cournot = cournot_build(100)
+        box = cournot.feasible
+        region = GapRegion(np.full(10, 5.0), 5.0 * np.sqrt(10.0),
+                           geometry=box)
+        assert region.C is box
+        cfg = SolverConfig(max_iters=30, record_stride=10, gap_region=region)
+        out = run(cournot, "sfbf", cfg, np.random.default_rng(4))
+        assert np.all(np.isfinite(out.trajectory.gap))
+        assert out.trajectory.gap[-1] == dual_gap_affine(cournot, out.X_bar,
+                                                         region)
+
+    def test_energy_without_a_known_solution_is_an_error(self):
+        # cap knows its regression weights but not its saddle point
+        cap = cap_build(0)
+        pol = RegimePolicy(regime="custom", alpha=0.1, lam=0.1, rho=1.0)
+        cfg = SolverConfig(policy=pol, max_iters=5, record_energy=True)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="record_energy needs a problem "
+                                             "with a known solution"):
+            run(cap, "risfbf", cfg, rng)
+        assert rng.bit_generator.state == before
+
+    def test_the_game_records_its_energy(self):
+        pol = RegimePolicy(regime="custom", alpha=0.1, lam=0.0025, rho=1.0)
+        out = run(cournot_build(100), "risfbf",
+                  SolverConfig(policy=pol, max_iters=5, record_energy=True),
+                  np.random.default_rng(0))
+        H = out.trajectory.H_k
+        assert np.isnan(H[0]) and np.all(np.isfinite(H[1:]))
+        assert np.all(np.isfinite(out.trajectory.rel_error))
 
     def test_baseline_step_default_is_quarter_inverse_lipschitz(self):
         prob = _noisy_problem()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moninc.oracle import BatchSchedule
+from moninc.oracle import BatchSchedule, batch_size
 from moninc.policy import RegimePolicy, lipschitz_tilde, schedule
 from moninc.problems import synthetic_build
 from moninc.solvers import SolverConfig
@@ -138,6 +138,13 @@ class TestOracleCost:
         sched = BatchSchedule.polynomial(1.01)
         want = 2 * sum(int(k ** 1.01) for k in range(1, 51))
         assert oracle_cost(sched, 50, 2) == want
+
+    @pytest.mark.parametrize("p", [0.5, 0.97, 1 / 1.02])
+    def test_geometric_cost_is_the_sum_of_the_batch_sizes(self, p):
+        # past m_k = 2^53 batch_size takes the exact rational power
+        sched = BatchSchedule.geometric(p)
+        want = 2 * sum(batch_size(sched, k) for k in range(1, 1501))
+        assert oracle_cost(sched, 1500, 2) == want
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

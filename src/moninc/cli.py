@@ -166,9 +166,10 @@ def _cmd_bounds(args) -> int:
         C = theory.geometric_constant(p, q, dist1_sq, alpha1,
                                       policy.alpha, B, p_hat)
         print(f"geometric sampling p={p:.6g}: C={C:.6g}")
-        for eps in (1e-3, 1e-4, 1e-5):
-            tau = theory.tau_eps(p, q, C, eps, p_hat)
-            cost = theory.oracle_cost(batches, tau, 2)
+        epss = (1e-3, 1e-4, 1e-5)
+        taus = [theory.tau_eps(p, q, C, eps, p_hat) for eps in epss]
+        for eps, tau, cost in zip(epss, taus,
+                                  theory.oracle_costs(batches, taus, 2)):
             print(f"  eps={eps:g}: tau={tau} oracle_cost={cost}")
     elif batches.kind == "polynomial":
         # m_k ~ k^theta / n, so the noise per step is about n B / k^theta

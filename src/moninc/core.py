@@ -2,7 +2,9 @@
 
 Everything downstream (solvers, merit functions, problem builders) works with
 dense 1-D float64 arrays. Set-valued parts enter only through their resolvents,
-which for every built-in problem are closed-form projections.
+which for every built-in problem are closed-form projections. The projections
+also act row by row on a stack of points (..., d), rounding each row exactly
+as they round that point alone.
 """
 
 from __future__ import annotations
@@ -75,14 +77,24 @@ class BallSet:
         return self.center.shape[0]
 
 
+def _rowdot(a, b):
+    """Inner products of the rows of two stacks (..., d): a @ b per row.
+
+    A stacked matmul of (1, d) by (d, 1) takes the 1-D dot per row, so each
+    value rounds as a @ b does alone; einsum and a reduction over the
+    product may not.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def project_box(x, box: BoxSet) -> np.ndarray:
     """Orthogonal projection onto a box (componentwise clamp).
 
     Ties at a bound return the bound itself, so the map is deterministic
-    and idempotent.
+    and idempotent. A stack (..., d) is clamped row by row.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != box.lower.shape:
+    if x.shape[-1:] != box.lower.shape:
         raise ValueError(
             f"dimension mismatch: point {x.shape} vs box {box.lower.shape}"
         )
@@ -90,17 +102,25 @@ def project_box(x, box: BoxSet) -> np.ndarray:
 
 
 def project_ball(x, ball: BallSet) -> np.ndarray:
-    """Orthogonal projection onto a Euclidean ball (radial scaling)."""
+    """Orthogonal projection onto a Euclidean ball (radial scaling).
+
+    A stack (..., d) is projected row by row: a row within the ball is
+    returned as it is, any other is center + (radius / dist) (x - center).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != ball.center.shape:
+    if x.shape[-1:] != ball.center.shape:
         raise ValueError(
             f"dimension mismatch: point {x.shape} vs ball {ball.center.shape}"
         )
     diff = x - ball.center
-    dist = float(np.linalg.norm(diff))
-    if dist <= ball.radius:
+    dist = np.sqrt(_rowdot(diff, diff))
+    inside = dist <= ball.radius  # a nan distance scales, as x alone would
+    if np.all(inside):
         return x.copy()
-    return ball.center + (ball.radius / dist) * diff
+    scale = np.divide(ball.radius, dist, out=np.ones_like(dist),
+                      where=~inside)
+    return np.where(inside[..., None], x,
+                    ball.center + scale[..., None] * diff)
 
 
 class ResolventMap:

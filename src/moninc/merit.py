@@ -4,7 +4,10 @@ The residual ||x - J_lam(x - lam V(x))|| vanishes exactly at solutions and
 is the default progress measure. For affine mean operators the restricted
 dual gap sup_{p in C} <V(p), x - p> over a GapRegion C, one ball or one
 box, is available as a certified merit via an inner concave maximization.
-The linear-rate proof energy H_k is exposed for diagnostics.
+The linear-rate proof energy H_k is exposed for diagnostics. Both take one
+point or a stack of K points (K, d), so a run pays the gap's per-call set-up
+once per block of recorded rows; each row of a stack gets bitwise the value
+it gets alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BallSet, BoxSet, UnsupportedOperation, project_ball,
-                   project_box)
+                   project_box, _rowdot)
 from .oracle import minibatch_estimate
 
 __all__ = [
@@ -57,7 +60,8 @@ class GapRegion:
     contains that ball, and the box when the ball contains it. Any other
     pair, or a geometry that is not a BoxSet of the anchor's dimension,
     raises ValueError, so C always has a closed-form projection and
-    support point.
+    support point. project, contains and support_point take one point or
+    a stack of points (K, d), row by row.
     """
 
     anchor: np.ndarray
@@ -86,18 +90,20 @@ class GapRegion:
         object.__setattr__(self, "C", C)
 
     def project(self, p):
-        """Projection onto C."""
+        """Projection onto C; row by row on a stack (K, d)."""
         if isinstance(self.C, BoxSet):
             return project_box(p, self.C)
         return project_ball(p, self.C)
 
     def contains(self, p):
-        """Whether p lies in C, up to _CONTAINS_TOL."""
-        if isinstance(self.C, BoxSet):
-            return bool(np.all(p >= self.C.lower - _CONTAINS_TOL)
-                        and np.all(p <= self.C.upper + _CONTAINS_TOL))
-        return bool(np.linalg.norm(p - self.C.center)
-                    <= self.C.radius + _CONTAINS_TOL)
+        """Whether p lies in C, up to _CONTAINS_TOL; one flag per row of a
+        stack (K, d)."""
+        C = self.C
+        if isinstance(C, BoxSet):
+            return np.all((p >= C.lower - _CONTAINS_TOL)
+                          & (p <= C.upper + _CONTAINS_TOL), axis=-1)
+        diff = p - C.center
+        return np.sqrt(_rowdot(diff, diff)) <= C.radius + _CONTAINS_TOL
 
     def lies_in(self, box):
         """Whether C lies in box (None is the whole space), up to
@@ -111,13 +117,21 @@ class GapRegion:
                     and np.all(hi <= box.upper + _CONTAINS_TOL))
 
     def support_point(self, g):
-        """argmax over C of <g, p> for the linear (skew-coupling) case."""
-        if isinstance(self.C, BoxSet):
-            return np.where(g >= 0, self.C.upper, self.C.lower)
-        ng = float(np.linalg.norm(g))
-        if ng == 0:
-            return self.C.center.copy()
-        return self.C.center + (self.C.radius / ng) * g
+        """argmax over C of <g, p> for the linear (skew-coupling) case; row
+        by row on a stack (K, d). The ball's center answers g = 0."""
+        C = self.C
+        if isinstance(C, BoxSet):
+            return np.where(g >= 0, C.upper, C.lower)
+        ng = np.sqrt(_rowdot(g, g))
+        zero = ng == 0
+        scale = np.divide(C.radius, ng, out=np.zeros_like(ng), where=~zero)
+        return np.where(zero[..., None], C.center,
+                        C.center + scale[..., None] * g)
+
+
+def _matvec(M, X):
+    """M @ x for each row x of X (K, d), each rounded as the 1-D product."""
+    return np.matmul(M, X[..., None])[..., 0]
 
 
 def dual_gap_affine(problem, x, region: GapRegion):
@@ -129,6 +143,12 @@ def dual_gap_affine(problem, x, region: GapRegion):
     exactly skew the objective is linear in p and the maximizer is taken in
     closed form. The value is clipped at zero only when x lies in C, where
     the gap is guaranteed nonnegative.
+
+    x is one point (d,), whose gap is returned as a float, or a stack of K
+    points (K, d), whose gaps are returned as a (K,) array. M + M^T and its
+    norm are formed once per call. The ascent runs on the whole stack and
+    freezes each row at the step that meets the stop rule, so every row
+    takes the iterates, and gets bitwise the value, it has alone.
     """
     M = getattr(problem, "affine_matrix", None)
     c = getattr(problem, "affine_shift", None)
@@ -136,35 +156,36 @@ def dual_gap_affine(problem, x, region: GapRegion):
         raise UnsupportedOperation(
             "dual gap needs an affine mean (affine_matrix/affine_shift)")
     x = np.asarray(x, dtype=np.float64)
+    X = np.atleast_2d(x)
 
     sym = M + M.T
     sym_norm = float(np.linalg.norm(sym, 2)) if sym.any() else 0.0
 
-    def objective(p):
-        return float((M @ p + c) @ (x - p))
+    def objective(X, P):
+        return _rowdot(_matvec(M, P) + c, X - P)
 
+    G = _matvec(M.T, X) - c
     if sym_norm == 0.0:
         # <Mp+c, x-p> = <c, x> + <M^T x - c, p> when p^T M p = 0
-        g = M.T @ x - c
-        p = region.support_point(g)
-        val = objective(p)
+        val = objective(X, region.support_point(G))
     else:
-        p = region.project(region.anchor)
         step = 1.0 / sym_norm
-        g0 = M.T @ x - c
-        val = objective(p)
+        P = np.tile(region.project(region.anchor), (len(X), 1))
+        val = objective(X, P)
+        live = np.arange(len(X))  # rows whose ascent has not stopped
         for _ in range(_GAP_MAX_ITERS):
-            grad = g0 - sym @ p
-            p = region.project(p + step * grad)
-            new_val = objective(p)
-            if abs(new_val - val) <= _GAP_TOL:
-                val = new_val
+            P_live = region.project(
+                P[live] + step * (G[live] - _matvec(sym, P[live])))
+            new_val = objective(X[live], P_live)
+            P[live] = P_live
+            done = np.abs(new_val - val[live]) <= _GAP_TOL
+            val[live] = new_val
+            live = live[~done]
+            if not live.size:
                 break
-            val = new_val
 
-    if region.contains(x):
-        val = max(val, 0.0)
-    return float(val)
+    val = np.where(region.contains(X) & (val < 0.0), 0.0, val)
+    return float(val[0]) if x.ndim == 1 else val
 
 
 def energy_H(X_k, X_km1, x_bar, alpha_k, rho_k, lam, L_tilde, a):
@@ -176,11 +197,16 @@ def energy_H(X_k, X_km1, x_bar, alpha_k, rho_k, lam, L_tilde, a):
 
     Under the linear-rate parameter rule this stays above
     (1 - alpha_bar)/2 * ||X_k - x_bar||^2.
+
+    X_k and X_km1 are points (d,), giving a float, or stacks (K, d) with
+    alpha_k, rho_k and lam scalars or (K,) arrays, giving a (K,) array
+    whose rows are bitwise the 1-D values.
     """
     X_k = np.asarray(X_k, dtype=np.float64)
     X_km1 = np.asarray(X_km1, dtype=np.float64)
     x_bar = np.asarray(x_bar, dtype=np.float64)
     coef = (3.0 - a) / (2.0 * rho_k * (1.0 + L_tilde * lam)) - 1.0
-    return float(np.sum((X_k - x_bar) ** 2)
-                 + (1.0 - alpha_k) * coef * np.sum((X_k - X_km1) ** 2)
-                 - alpha_k * np.sum((X_km1 - x_bar) ** 2))
+    H = (np.sum((X_k - x_bar) ** 2, axis=-1)
+         + (1.0 - alpha_k) * coef * np.sum((X_k - X_km1) ** 2, axis=-1)
+         - alpha_k * np.sum((X_km1 - x_bar) ** 2, axis=-1))
+    return float(H) if X_k.ndim == 1 else H

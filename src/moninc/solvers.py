@@ -207,6 +207,9 @@ class RunResult:
     diagnostics: tuple = ()  # validate()'s text; empty for a clean policy
 
 
+_BLOCK = 256  # recorded rows whose gap and H_k run() evaluates in one call
+
+
 def _quarter_inverse(L: float) -> float:
     """The default step 1/(4L), or 1 when L = 0."""
     return 1.0 / (4.0 * L) if L > 0 else 1.0
@@ -276,14 +279,19 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     record_energy on a problem without a known solution, raise ValueError
     before any draw.
     H_k is taken at the parameters of the step from X_k, and a run that
-    residual_target stops records the residual that met it. If the oracle
+    residual_target stops records the residual that met it. The residual
+    and rel_error are taken as a row is recorded; gap and H_k wait in a
+    block of _BLOCK rows, evaluated by one dual_gap_affine and one energy_H
+    call on the stack when it fills and when the run stops, so a row's
+    wall_time_s leaves out its own gap and H_k. If the oracle
     lacks an exact mean, residuals are mini-batch estimates drawn from a
     side stream whose seed is rng's first draw, before X_1 (_start); the
     trajectory is flagged accordingly. numpy overflow and invalid errors
     raise in the loop; they and a NumericFailure are raised again as
     NumericFailure naming the method, k, m_k, ||X_k|| and the policy
     diagnostics; k, m_k and ||X_k|| belong to one iterate, the one being
-    stepped from or recorded.
+    stepped from or recorded (for a block's gap or H_k, the row that
+    filled the block or stopped the run).
 
     Each pass of the loop takes X_k's batch size and parameters once,
     decides whether a rule stops the run there (residual_target, then
@@ -326,7 +334,20 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     res_lam = _quarter_inverse(problem.lipschitz)
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
     target = config.residual_target
-    rows = []
+    rows, gaps, energies = [], [], []
+    bars, H_args = [], []  # the block's pending X_bar_k and H_k arguments
+
+    def evaluate_block():
+        if bars:
+            gaps.extend(merit.dual_gap_affine(problem, np.array(bars),
+                                              region))
+            bars.clear()
+        if H_args:
+            X_k, X_km1, alpha, rho, lam = map(np.array, zip(*H_args))
+            energies.extend(merit.energy_H(X_k, X_km1, problem.solution,
+                                           alpha, rho, lam, L_tilde, pol.a))
+            H_args.clear()
+
     t0 = time.perf_counter()
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -351,14 +372,15 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                         r = merit.residual(problem, X, res_lam, rng=eval_rng)
                     err = (problem.rel_error_fn(X)
                            if problem.rel_error_fn is not None else np.nan)
-                    gap = (merit.dual_gap_affine(problem, state.x_bar(),
-                                                 region)
-                           if region is not None else np.nan)
-                    H = (merit.energy_H(X, state.X_prev, problem.solution,
-                                        alpha_k, rho_k, lam_k, L_tilde, pol.a)
-                         if config.record_energy and k >= 2 else np.nan)
-                    rows.append((k, state.oracle_calls, r, err, gap, H,
+                    if region is not None:
+                        bars.append(state.x_bar())
+                    if config.record_energy and k >= 2:
+                        H_args.append((X, state.X_prev, alpha_k, rho_k,
+                                       lam_k))
+                    rows.append((k, state.oracle_calls, r, err,
                                  time.perf_counter() - t0))
+                    if stopped_by or len(rows) % _BLOCK == 0:
+                        evaluate_block()
                 if stopped_by:
                     break
                 step(state, problem, *params, m_k, batches, extragradient)
@@ -373,9 +395,14 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         raise NumericFailure(f"{method} at k={k}, m_k={m_k}, "
                              f"||X||={norm:.6g}: {exc}{hint}") from exc
 
+    ks, calls, residuals, rel_errors, walls = map(np.array, zip(*rows))
+    unset = np.full(len(rows), np.nan)
     return RunResult(
-        trajectory=Trajectory(*map(np.array, zip(*rows)),
-                              residual_estimated=problem.oracle.mean is None),
+        trajectory=Trajectory(
+            ks, calls, residuals, rel_errors,
+            np.array(gaps) if region is not None else unset,
+            np.array([np.nan, *energies]) if config.record_energy else unset,
+            walls, residual_estimated=problem.oracle.mean is None),
         X=state.X.copy(),
         X_bar=state.x_bar(),
         iterations=state.k,

@@ -22,6 +22,7 @@ __all__ = [
     "geometric_constant",
     "tau_eps",
     "oracle_cost",
+    "oracle_costs",
     "poly_rate_constant",
 ]
 
@@ -121,27 +122,43 @@ def tau_eps(p: float, q: float, C_or_Chat: float, eps: float,
 
 
 def oracle_cost(schedule: BatchSchedule, K: int, calls_per_iter: int) -> int:
-    """Total draws over iterations 1..K at 1 or 2 oracle calls per step.
+    """Total draws over iterations 1..K at 1 or 2 oracle calls per step,
+    at batch_size's sizes."""
+    return oracle_costs(schedule, (K,), calls_per_iter)[0]
 
-    The sizes are batch_size's. A geometric schedule carries p^-k as the
-    exact integer ratio num/den from k - 1, one multiplication each per k,
-    where batch_size would raise the rational p to the power -k afresh.
-    """
-    if K < 1:
+
+def oracle_costs(schedule: BatchSchedule, Ks, calls_per_iter: int) -> list:
+    """oracle_cost at each K of Ks, from one pass to the largest."""
+    if min(Ks) < 1:
         raise ValueError("K must be at least 1")
     if calls_per_iter not in (1, 2):
         raise ValueError("calls_per_iter must be 1 or 2")
+    wanted, costs, total = set(Ks), {}, 0
+    for k, m in zip(range(1, max(Ks) + 1), _batch_sizes(schedule)):
+        total += m
+        if k in wanted:
+            costs[k] = calls_per_iter * total
+    return [costs[K] for K in Ks]
+
+
+def _batch_sizes(schedule: BatchSchedule):
+    """m_1, m_2, ... as batch_size gives them.
+
+    A geometric schedule carries p^-k as the exact integer ratio num/den
+    from k - 1, one multiplication each per k, where batch_size would raise
+    the rational p to the power -k afresh.
+    """
+    k = 0
     if schedule.kind != "geometric":
-        return calls_per_iter * sum(batch_size(schedule, k)
-                                    for k in range(1, K + 1))
+        while True:
+            k += 1
+            yield batch_size(schedule, k)
     p = Fraction(schedule.p)
     num = den = 1
-    total = 0
-    for _ in range(K):
+    while True:
         num *= p.denominator
         den *= p.numerator
-        total += max(1, num // den)
-    return calls_per_iter * total
+        yield max(1, num // den)
 
 
 def poly_rate_constant(q: float, theta: float, dist1_sq: float, alpha1: float,

@@ -206,6 +206,81 @@ class TestGapRegionShapes:
             GapRegion(np.zeros(3), 1.0, geometry=self.BOX)
 
 
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStacks:
+    """A stack of K points gets bitwise the values of K 1-D calls."""
+
+    BOX = BoxSet(-np.ones(4), np.ones(4))
+    REGIONS = {"ball": GapRegion(np.full(4, 0.1), 0.5, geometry=BOX),
+               "box": GapRegion(np.zeros(4), 2.5, geometry=BOX)}
+
+    def _points(self, rng):
+        # five points near the anchor and five far outside either C
+        return np.concatenate([rng.uniform(-0.2, 0.3, (5, 4)),
+                               rng.uniform(-3.0, 3.0, (5, 4))])
+
+    @pytest.mark.parametrize("name", ["ball", "box"])
+    def test_region_maps_act_row_by_row(self, name):
+        region = self.REGIONS[name]
+        P = self._points(np.random.default_rng(4))
+        P[0] = 0.0  # the ball's support point at g = 0 is its center
+        inside = region.contains(P)
+        assert inside.shape == (10,) and inside.any() and not inside.all()
+        assert list(inside) == [region.contains(p) for p in P]
+        for f in (region.project, region.support_point):
+            assert _same_bits(f(P), [f(p) for p in P])
+
+    @pytest.mark.parametrize("name", ["ball", "box"])
+    @pytest.mark.parametrize("kind", ["skew", "monotone"])
+    def test_gap_of_a_stack_is_the_gap_of_each_point(self, monkeypatch,
+                                                      kind, name):
+        rng = np.random.default_rng(5)
+        S = rng.standard_normal((4, 4))
+        M = S - S.T
+        if kind == "monotone":
+            M = M + np.diag([0.5, 0.1, 1.0, 0.3])
+        prob = _affine_problem(M, rng.standard_normal(4))
+        region = self.REGIONS[name]
+        X = self._points(rng)
+        got = dual_gap_affine(prob, X, region)
+        # a 1-D call projects the anchor, then once per ascent step
+        projections = []
+        project = GapRegion.project
+
+        def counted(self, p):
+            projections.append(p)
+            return project(self, p)
+
+        monkeypatch.setattr(GapRegion, "project", counted)
+        want, calls = [], []
+        for x in X:
+            want.append(dual_gap_affine(prob, x, region))
+            calls.append(len(projections))
+            projections.clear()
+        assert all(type(v) is float for v in want)
+        assert _same_bits(got, want)
+        if kind == "monotone":  # the rows stop at different steps
+            assert len(set(calls)) > 1 and min(calls) > 1
+        else:  # the closed form projects nothing
+            assert set(calls) == {0}
+
+    def test_energy_of_a_stack_is_the_energy_of_each_point(self):
+        rng = np.random.default_rng(6)
+        X, Xp = rng.standard_normal((2, 9, 5))
+        bar = rng.standard_normal(5)
+        alpha, rho = rng.uniform(0.0, 0.5, 9), rng.uniform(0.2, 1.0, 9)
+        lam = rng.uniform(0.01, 0.3, 9)
+        got = energy_H(X, Xp, bar, alpha, rho, lam, 1.3, 0.5)
+        want = [energy_H(X[i], Xp[i], bar, float(alpha[i]), float(rho[i]),
+                         float(lam[i]), 1.3, 0.5) for i in range(9)]
+        assert all(type(v) is float for v in want)
+        assert _same_bits(got, want)
+
+
 class TestEnergies:
     def test_linear_energy_hand_value(self):
         got = energy_H(np.array([1.0]), np.array([0.0]), np.array([0.0]),

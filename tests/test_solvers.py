@@ -511,6 +511,64 @@ class TestRun:
         assert np.all(np.isnan(run(prob, "risfbf", no_region,
                                    np.random.default_rng(4)).trajectory.gap))
 
+    def test_rows_past_one_block_record_the_gap_and_energy_of_each_point(
+            self):
+        # 301 rows: run() evaluates gap and H_k for 256 rows at once, then
+        # for the rest at the stop; each row must read its 1-D value
+        prob = synthetic_build(dim=6, mu=0.3, skew_norm=1.0, sigma=0.3,
+                               seed=2)
+        region = GapRegion(np.full(6, 0.1), 0.8, geometry=prob.feasible)
+        pol = RegimePolicy(regime="monotone_gap", alpha=0.1,
+                           lam=0.25 / prob.lipschitz, alpha_mode="increasing")
+        cfg = SolverConfig(policy=pol, max_iters=300, gap_region=region,
+                           record_energy=True, record_residual=False)
+        ys = []  # Y_k: with no residual, the step's one resolvent call
+
+        def apply(z, lam):
+            ys.append(prob.resolvent.apply(z, lam))
+            return ys[-1]
+
+        out, points = run_with_points(
+            dataclasses.replace(prob, resolvent=SimpleNamespace(apply=apply)),
+            "risfbf", cfg, np.random.default_rng(4))
+        assert len(points) == 301 > solvers._BLOCK
+        law = policy_mod.schedule(pol, prob.lipschitz,
+                                  prob.strong_monotonicity)
+        # X_bar_k: the rho-weighted average of Y_1..Y_{k-1}, X_1 at k = 1
+        bars, num, den = [points[0]], np.zeros(6), 0.0
+        for k, y in enumerate(ys, start=1):
+            num += law(k)[2] * y
+            den += law(k)[2]
+            bars.append(num / den)
+        gaps = [dual_gap_affine(prob, x, region) for x in bars]
+        L_tilde = lipschitz_tilde(prob.lipschitz)
+        energies = [np.nan] + [
+            energy_H(points[i], points[i - 1], prob.solution, law(k)[0],
+                     law(k)[2], law(k)[1], L_tilde, pol.a)
+            for i, k in enumerate(out.trajectory.k) if k >= 2]
+        assert out.trajectory.gap.tobytes() == np.array(gaps).tobytes()
+        assert out.trajectory.H_k.tobytes() == np.array(energies).tobytes()
+        assert len(set(law(k)[0] for k in range(1, 301))) > 1
+
+    @pytest.mark.parametrize("column", ["gap", "H_k"])
+    def test_an_overflow_in_a_block_is_a_numeric_failure(self, column):
+        # every row overflows, so the first block, at the row k = 256 that
+        # fills it, raises; the step itself stays finite
+        prob = synthetic_build(dim=6, mu=0.0, skew_norm=1.0, sigma=0.3,
+                               seed=2)
+        cfg = SolverConfig(policy=self._policy(
+            regime="monotone_gap", lam=0.25 / prob.lipschitz), max_iters=300)
+        if column == "gap":
+            prob = dataclasses.replace(prob, affine_shift=np.full(6, 1e308))
+            cfg = dataclasses.replace(cfg, gap_region=GapRegion(
+                np.zeros(6), 3.0, geometry=prob.feasible))
+        else:
+            prob = dataclasses.replace(prob, solution=np.full(6, 1e200))
+            cfg = dataclasses.replace(cfg, record_energy=True)
+        with pytest.raises(NumericFailure,
+                           match=r"^risfbf at k=256, m_k=1, .*overflow"):
+            run(prob, "risfbf", cfg, np.random.default_rng(0))
+
     def test_a_gap_region_without_an_affine_mean_is_an_error(self):
         # without its affine form no gap can be taken: run() says so
         # before any draw instead of recording a nan column

@@ -8,8 +8,8 @@ from moninc.policy import RegimePolicy, lipschitz_tilde, schedule
 from moninc.problems import synthetic_build
 from moninc.solvers import SolverConfig
 from moninc.theory import (contraction_q, geometric_constant,
-                           noise_envelope_B, oracle_cost, poly_rate_constant,
-                           tau_eps)
+                           noise_envelope_B, oracle_cost, oracle_costs,
+                           poly_rate_constant, tau_eps)
 from capture import run_with_points
 from reference_formulas import dominance_constant
 
@@ -146,7 +146,22 @@ class TestOracleCost:
         want = 2 * sum(batch_size(sched, k) for k in range(1, 1501))
         assert oracle_cost(sched, 1500, 2) == want
 
+    @pytest.mark.parametrize("sched", [
+        BatchSchedule.geometric(0.97), BatchSchedule.polynomial(1.5),
+        BatchSchedule.constant(3)], ids=["geometric", "polynomial",
+                                         "constant"])
+    def test_one_pass_reads_each_cost_on_the_way(self, sched):
+        # moninc bounds reads three taus from one pass; unsorted and
+        # repeated Ks come back in their own order
+        Ks = [40, 7, 120, 7, 1]
+        want = [2 * sum(batch_size(sched, k) for k in range(1, K + 1))
+                for K in Ks]
+        assert oracle_costs(sched, Ks, 2) == want
+        assert [oracle_cost(sched, K, 2) for K in Ks] == want
+
     def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            oracle_costs(BatchSchedule.constant(1), [5, 0], 2)
         with pytest.raises(ValueError):
             oracle_cost(BatchSchedule.constant(1), 0, 2)
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ Subcommands:
   bounds <config>      print closed-form rate/complexity envelopes of risfbf
   variance <config>    mini-batch variance sweep of the configured oracle
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure in every
-replication, 3 I/O error.
+Exit codes: 0 success, 1 configuration error (solvers.check's included;
+nothing is written), 2 numeric failure in every replication, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="no effect; replications run serially")
         p.add_argument("--strict", action="store_true",
-                       help="treat policy violations as fatal")
+                       help="make policy diagnostics config errors")
 
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config")

@@ -11,18 +11,17 @@ schedule does not read, policy keys other than lam without a regime,
 missing builder parameters without a default, [problem] values outside
 the builder's ranges (checked without building), a lam, regime or
 record_energy that the method would not read, and a method the config
-cannot run or stop (SolverConfig and solvers.check_method) are hard
-errors, so typos cannot silently change an experiment. run_experiment runs
-the configured replications in order on the calling thread, each on a
-stream derived from (global seed, replication index), writes one
+cannot run or stop (SolverConfig and solvers.check_method) are hard errors
+at load, and what solvers.check rejects on the built problem is one before
+anything is written, so typos cannot silently change an experiment.
+run_experiment runs the replications in order on the calling thread, each
+on a stream derived from (global seed, replication index), writes one
 trajectory CSV per replication plus a summary CSV, and returns an
-aggregated report; a replication that fails numerically or breaks its
-policy's hypotheses is counted and its reason kept in RunReport.errors,
-and the policy diagnostics that the replications return are kept in
-RunReport.diagnostics.
-Both CSVs take their columns from solvers.COLUMNS (the summary's rows lead
-with the replication index), and one cell formatter writes both. Reruns
-produce byte-identical CSV bodies except for the wall_time_s column.
+aggregated report: the reason of each replication that fails numerically
+in RunReport.errors, and the check's policy diagnostics. Both CSVs take
+their columns from solvers.COLUMNS (the summary's rows lead with the
+replication index), and one cell formatter writes both. Reruns produce
+byte-identical CSV bodies except for the wall_time_s column.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 from . import problems, solvers
 from .core import NumericFailure
 from .oracle import BatchSchedule
-from .policy import PolicyViolation, RegimePolicy
+from .policy import RegimePolicy
 from .solvers import SolverConfig, run
 
 __all__ = [
@@ -150,14 +149,16 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
 
     def _builder_call(self):
-        """(builder, keyword arguments) for the [problem] kind; the builder
-        is looked up in `problems` now, so patches of it apply."""
+        """(builder, its arguments with defaults applied) for the [problem]
+        kind; the builder is looked up in `problems` now, so patches apply."""
         kind = self.problem["kind"]
         if kind not in _PROBLEMS:
             raise ConfigError(f"unknown problem kind {kind!r}")
         build = getattr(problems, f"{kind}_build")
-        return build, _arguments(build, self.problem, _PROBLEMS[kind],
-                                 f"problem {kind!r}")
+        bound = inspect.signature(build).bind(**_arguments(
+            build, self.problem, _PROBLEMS[kind], f"problem {kind!r}"))
+        bound.apply_defaults()
+        return build, bound.arguments
 
     def build_problem(self):
         build, kwargs = self._builder_call()
@@ -265,7 +266,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     try:
         # the builder's own range check, without building the problem
-        getattr(problems, f"_check_{kind}")(**_builder_arguments(cfg)[1])
+        getattr(problems, f"_check_{kind}")(**cfg._builder_call()[1])
         solvers.check_method(cfg.method, cfg.build_solver_config())
     except ValueError as exc:  # ConfigError, or a range check
         # name the INI keys, not the builder's parameters or SolverConfig's
@@ -292,7 +293,7 @@ class RunReport:
     out_dir: str = ""
     results: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)  # rep -> "ExcType: message"
-    diagnostics: tuple = ()  # RunResult.diagnostics, equal for every rep
+    diagnostics: tuple = ()  # solvers.check's, even if every rep fails
 
 
 def _fmt(v) -> str:
@@ -317,16 +318,25 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _checked(config: ExperimentConfig, problem):
+    """(SolverConfig, diagnostics) of config on problem, or a ConfigError."""
+    scfg = config.build_solver_config()
+    try:
+        return scfg, solvers.check(problem, config.method, scfg)[1]
+    except ValueError as exc:  # PolicyViolation included
+        raise ConfigError(f"{config.label}: {exc}") from exc
+
+
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute all replications of one configured experiment.
 
-    Replications run in order on the calling thread. Replication r writes
-    its trajectory to rep_<r>.csv, or its reason to errors[r]; summary.csv
-    holds the last row of each successful replication, then the mean,
-    stderr and confidence bounds of each metric column and the failure count.
+    The config is checked first. Replication r writes its trajectory to
+    rep_<r>.csv, or its reason to errors[r]; summary.csv holds the last row
+    of each successful replication, then the mean, stderr and confidence
+    bounds of each metric column and the failure count.
     """
     problem = config.build_problem()
-    scfg = config.build_solver_config()
+    scfg, diagnostics = _checked(config, problem)
     method = config.method
     os.makedirs(config.out_dir, exist_ok=True)
 
@@ -336,7 +346,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         rng = np.random.default_rng([config.seed, rep])
         try:
             result = run(problem, method, scfg, rng=rng)
-        except (NumericFailure, FloatingPointError, PolicyViolation) as exc:
+        except (NumericFailure, FloatingPointError) as exc:
             errors[rep] = f"{type(exc).__name__}: {exc}"
             continue
         traj = result.trajectory
@@ -350,7 +360,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         replications=config.replications, failures=len(errors),
         wall_seconds=time.perf_counter() - t_start,
         out_dir=config.out_dir, results=results, errors=errors,
-        diagnostics=results[0].diagnostics if results else ())
+        diagnostics=diagnostics)
 
     for name in _METRICS:
         vals = np.array([getattr(res.trajectory, name)[-1]
@@ -427,28 +437,20 @@ def _t_quantile(level: float, df: int) -> float:
     return math.sqrt(df) * math.tan(mid)
 
 
-def _builder_arguments(cfg: ExperimentConfig):
-    """The [problem] builder and every argument it gets, defaults applied."""
-    build, kwargs = cfg._builder_call()
-    bound = inspect.signature(build).bind(**kwargs)
-    bound.apply_defaults()
-    return build, bound.arguments
-
-
 def compare(configs: list[ExperimentConfig]) -> list[RunReport]:
     """Run several solver configs on one shared problem; one report each.
 
     All configs must describe the identical problem (same builder and the
     same arguments once its defaults apply, instance seed included) so
     differences are attributable to the solvers alone, and each must write
-    to its own out_dir.
+    to its own out_dir. Each is checked on one build of it before any runs.
     """
     if not configs:
         raise ValueError("compare needs at least one config")
-    ref = _builder_arguments(configs[0])
+    ref = configs[0]._builder_call()
     owners = {}
     for cfg in configs:
-        if _builder_arguments(cfg) != ref:
+        if cfg._builder_call() != ref:
             raise ValueError(
                 "compare requires identical [problem] sections; "
                 f"{cfg.label!r} differs from {configs[0].label!r}")
@@ -458,4 +460,7 @@ def compare(configs: list[ExperimentConfig]) -> list[RunReport]:
                 f"{owners[out]!r} and {cfg.label!r} both write to "
                 f"{cfg.out_dir!r}; give each config its own out_dir")
         owners[out] = cfg.label
+    problem = configs[0].build_problem()
+    for cfg in configs:
+        _checked(cfg, problem)
     return [run_experiment(cfg) for cfg in configs]

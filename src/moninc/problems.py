@@ -213,13 +213,6 @@ class CapInstance:
         return self.index.shape[0]
 
 
-def _build_groups(n_groups, group_size, overlap):
-    stride = group_size - overlap
-    groups = tuple(np.arange(g * stride, g * stride + group_size)
-                   for g in range(n_groups))
-    return groups
-
-
 def cap_apply_L(inst: CapInstance, w):
     """Stacked coupling: block g equals eta * w[group g]."""
     w = np.asarray(w, dtype=np.float64)
@@ -344,7 +337,9 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
     groups 4 and 5 (coordinates 24..41, 0-based) and zero elsewhere.
     """
     _check_cap(n_groups, group_size, overlap)
-    groups = _build_groups(n_groups, group_size, overlap)
+    stride = group_size - overlap
+    groups = tuple(np.arange(g * stride, g * stride + group_size)
+                   for g in range(n_groups))
     d = int(groups[-1][-1]) + 1
     rng = np.random.default_rng(seed)
     if n_groups >= 5:

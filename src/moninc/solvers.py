@@ -45,6 +45,7 @@ __all__ = [
     "sa_step",
     "proxpoint_step",
     "run",
+    "check",
     "check_method",
     "METHODS",
 ]
@@ -133,16 +134,16 @@ def proxpoint_step(state: SolverState, problem, alpha_k, lam_k, rho_k):
 class SolverConfig:
     """Run-level knobs: schedules, stopping, and what to record.
 
-    Construction checks the run settings; run() trusts them. Exactly the
-    stop rules that are set apply (max_iters and max_oracle_calls are
-    positive; check_method requires one that must fire); residual_target
-    needs record_residual, since the residual is what it stops on. lam is
-    the step of a run without a policy; record_energy needs a policy, for
-    H_k's constant a. The residual column is taken at step 1/(4L) (1 when
-    L = 0). Rows are recorded every record_stride >= 1 iterations; H_k
-    needs a problem with a known solution. The gap column is the dual gap
-    over gap_region at the averaged iterate; a region needs a problem with
-    an affine mean and must lie in its feasible set.
+    Construction checks the run settings, check() holds them against the
+    method and problem, and run() trusts both. Exactly the stop rules that
+    are set apply (max_iters and max_oracle_calls are positive;
+    check_method requires one that must fire); residual_target needs
+    record_residual, since the residual is what it stops on. lam is the
+    step of a run without a policy; record_energy needs a policy, for H_k's
+    constant a. The residual column is taken at step 1/(4L) (1 when L = 0).
+    Rows are recorded every record_stride >= 1 iterations. The gap column
+    is the dual gap over gap_region at the averaged iterate. strict makes
+    check() raise the policy diagnostics.
     """
 
     policy: policy_mod.RegimePolicy | None = None
@@ -263,21 +264,40 @@ def check_method(method: str, config: SolverConfig) -> None:
                          "max_iters or max_oracle_calls")
 
 
+def check(problem, method: str, config: SolverConfig):
+    """(law, diagnostics) for run(), after check_method and every check of
+    config against problem: a gap_region needs an affine mean and must lie
+    in the feasible set, record_energy a known solution, and a policy its
+    hypotheses at (L, mu), which read no draw; PolicyViolation names a fatal
+    one, or under strict every diagnostic. The law is None without a policy."""
+    check_method(method, config)
+    region = config.gap_region
+    if region is not None and problem.affine_matrix is None:
+        raise ValueError("gap_region needs a problem with an affine mean")
+    if region is not None and not region.lies_in(problem.feasible):
+        raise ValueError("gap_region must lie in the problem's feasible set")
+    if config.record_energy and problem.solution is None:
+        raise ValueError("record_energy needs a problem with a known solution")
+    pol, L = config.policy, problem.lipschitz
+    if pol is None:
+        return None, ()
+    mu = problem.strong_monotonicity if problem.strong_monotonicity > 0 else None
+    diagnostics = tuple(policy_mod.validate(pol, L, mu))
+    if diagnostics and config.strict:
+        raise policy_mod.PolicyViolation("; ".join(diagnostics))
+    return policy_mod.schedule(pol, L, mu), diagnostics
+
+
 def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     """Drive `method` on `problem` until a stop rule fires.
 
-    A policy is checked once, before any draw, at the law the run steps by:
-    validate()'s messages raise PolicyViolation under config.strict, else
-    they are returned as RunResult.diagnostics, and policy.schedule()
-    raises on a fatal hypothesis. sfbf and seg step at (0, lam, 1), lam the
+    check() raises before any draw, else gives the law the run steps by and
+    RunResult.diagnostics. sfbf and seg step at (0, lam, 1), lam the
     law's, else config.lam, else 1/(4L). One trajectory row describes the
     iterate X_k, from k=1 (the initial point) at the configured stride, plus
     the final iterate; the iterates themselves are not kept. Its gap is
     taken at X_bar_k, the rho-weighted average of Y_1..Y_{k-1} (X_1 at
-    k = 1), so the last row's gap is that of RunResult.X_bar. A gap_region
-    on a problem without an affine mean or outside its feasible set, and
-    record_energy on a problem without a known solution, raise ValueError
-    before any draw.
+    k = 1), so the last row's gap is that of RunResult.X_bar.
     H_k is taken at the parameters of the step from X_k, and a run that
     residual_target stops records the residual that met it. The residual
     and rel_error are taken as a row is recorded; gap and H_k wait in a
@@ -298,23 +318,9 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     max_iters, then max_oracle_calls), records X_k's row if k is on the
     stride or the run stops, and then stops or steps.
     """
-    check_method(method, config)
-    region = config.gap_region
-    if region is not None and problem.affine_matrix is None:
-        raise ValueError("gap_region needs a problem with an affine mean")
-    if region is not None and not region.lies_in(problem.feasible):
-        raise ValueError("gap_region must lie in the problem's feasible set")
-    if config.record_energy and problem.solution is None:
-        raise ValueError("record_energy needs a problem with a known solution")
+    law, diagnostics = check(problem, method, config)
+    region, pol = config.gap_region, config.policy
     spec = _TABLE[method]
-    pol = config.policy
-    mu = problem.strong_monotonicity if problem.strong_monotonicity > 0 else None
-    diagnostics = tuple(policy_mod.validate(pol, problem.lipschitz, mu)
-                        if pol is not None else ())
-    if diagnostics and config.strict:
-        raise policy_mod.PolicyViolation("; ".join(diagnostics))
-    law = (policy_mod.schedule(pol, problem.lipschitz, mu)
-           if pol is not None else None)
     if spec.params == "policy":
         params_at = law
     elif spec.params == "baseline":

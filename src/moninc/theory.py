@@ -21,7 +21,6 @@ __all__ = [
     "noise_envelope_B",
     "geometric_constant",
     "tau_eps",
-    "oracle_cost",
     "oracle_costs",
     "poly_rate_constant",
 ]
@@ -121,14 +120,9 @@ def tau_eps(p: float, q: float, C_or_Chat: float, eps: float,
     return max(1, int(tau))
 
 
-def oracle_cost(schedule: BatchSchedule, K: int, calls_per_iter: int) -> int:
-    """Total draws over iterations 1..K at 1 or 2 oracle calls per step,
-    at batch_size's sizes."""
-    return oracle_costs(schedule, (K,), calls_per_iter)[0]
-
-
 def oracle_costs(schedule: BatchSchedule, Ks, calls_per_iter: int) -> list:
-    """oracle_cost at each K of Ks, from one pass to the largest."""
+    """Total draws over iterations 1..K at 1 or 2 oracle calls per step, at
+    batch_size's sizes, for each K of Ks, from one pass to the largest."""
     if min(Ks) < 1:
         raise ValueError("K must be at least 1")
     if calls_per_iter not in (1, 2):

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import glob
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ from moninc.core import NumericFailure
 from moninc.harness import (ConfigError, ExperimentConfig, compare,
                             confidence_interval, load_config, run_experiment)
 from moninc.oracle import BatchSchedule, batch_size
+from moninc.merit import GapRegion
 from moninc.policy import PolicyViolation, alpha_at
 from capture import run_with_points
 
@@ -54,6 +56,16 @@ stride = 5
 seed = 9
 label = demo
 """
+
+# a merely monotone problem (L = 1) whose monotone_gap window lam < 1/(2L)
+# the step 100 breaks: no replication of it can run
+BAD_LAM_INI = BASE_INI.replace("mu = 1.0", "mu = 0.0").replace(
+    "regime = strongly_monotone\nalpha = 0.1",
+    "regime = monotone_gap\nalpha = 0.1\nlam = 100").replace(
+    "label = demo", "label = bad")
+BAD_LAM_MESSAGE = "lam = 100 not in (0, 1/(2L)) = (0, 0.5)"
+BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                             "configs")
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -114,14 +126,15 @@ class TestLoadConfig:
             cfg.build_batches()      # schedule errors surface on build
 
     def test_benchmark_configs_pass_every_load_check(self, tmp_path):
-        # a rule that rejects a perfbench config fails here first
-        paths = sorted(glob.glob(os.path.join(
-            os.path.dirname(__file__), "..", "perfbench", "configs",
-            "*.ini")))
+        # a rule that rejects a perfbench config fails here first; the
+        # configs share one problem, built once as compare builds it
+        paths = sorted(glob.glob(os.path.join(BENCH_CONFIGS, "*.ini")))
         assert paths
-        for path in paths:
-            cfg = load_config(path, {"out_dir": str(tmp_path / "out")})
-            solvers.check_method(cfg.method, cfg.build_solver_config())
+        cfgs = [load_config(path, {"out_dir": str(tmp_path / "out")})
+                for path in paths]
+        problem = cfgs[0].build_problem()
+        for cfg in cfgs:
+            solvers.check(problem, cfg.method, cfg.build_solver_config())
         assert not (tmp_path / "out").exists()
 
     def test_policy_keys_without_regime_are_named(self, tmp_path):
@@ -275,13 +288,16 @@ class TestBuilders:
         assert {k: type(v) for k, v in seen[-1].items()} == \
             {k: type(v) for k, v in expected.items()}
 
-        # omitted keys stay absent, so the builder's own defaults apply
+        # omitted keys get the builder's own defaults, passed by name
         required = "l_v = 60" if kind == "cournot" else ""
         bare = BASE_INI.replace(SYNTHETIC_PROBLEM,
                                 f"kind = {kind}\n{required}")
         _load(tmp_path, bare).build_problem()
+        defaults = {name: p.default for name, p in
+                    inspect.signature(builder).parameters.items()
+                    if p.default is not p.empty}
         assert seen[-1] == ({"L_V_target": 60.0} if kind == "cournot"
-                            else {})
+                            else {}) | defaults
 
     def test_problem_kinds_build(self, tmp_path):
         def dim(ini=BASE_INI):
@@ -377,24 +393,79 @@ class TestRunExperiment:
         failed_row = next(r for r in summary if r[0] == "failed")
         assert failed_row[1] == "3"
 
-    def test_policy_violation_fails_one_replication(self, tmp_path,
-                                                    monkeypatch):
+    def test_diagnostics_stay_when_every_replication_fails(
+            self, tmp_path, monkeypatch):
+        # they come from the check, not from a replication that returned
+        def boom(problem, method, cfg, rng=None):
+            raise NumericFailure("oracle draw 0 is non-finite")
+
+        monkeypatch.setattr(harness, "run", boom)
+        text = BASE_INI.replace("alpha = 0.1", "alpha = 0.1\nlam = 10")
+        report = run_experiment(_load(tmp_path, text))
+        assert report.failures == 3
+        assert report.diagnostics == (
+            "lam = 10 exceeds lambda_strong = 0.158114",)
+
+    def test_a_broken_policy_hypothesis_runs_no_replication(
+            self, tmp_path, capsys, monkeypatch):
+        # the hypotheses read (policy, L, mu) and no draw, so a broken one
+        # would fail every replication alike: it is a config error
+        calls = []
         real_run = harness.run
+        monkeypatch.setattr(harness, "run",
+                            lambda *a, **kw: calls.append(a) or real_run(
+                                *a, **kw))
+        out = tmp_path / "out"
+        path = _write(tmp_path, BAD_LAM_INI)
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: bad: {BAD_LAM_MESSAGE}\n")
+        assert calls == [] and not out.exists()
 
-        def violate_in_rep_1(problem, method, cfg, rng=None):
-            # replication r runs on default_rng([seed, r]); BASE_INI's seed is 9
-            if rng.bit_generator.seed_seq.entropy == [9, 1]:
-                raise PolicyViolation("lam_k leaves the step window")
-            return real_run(problem, method, cfg, rng=rng)
+    @pytest.mark.parametrize("case, prefix", [
+        ("affine", "gap_region needs a problem with an affine mean"),
+        ("feasible", "gap_region must lie in the problem's feasible set"),
+        ("energy", "record_energy needs a problem with a known solution"),
+        ("policy", BAD_LAM_MESSAGE),
+        ("strict", "lam = 10 exceeds lambda_strong = 0.158114"),
+    ], ids=["affine", "feasible", "energy", "policy", "strict"])
+    def test_a_rejected_config_keeps_its_message_after_the_label(
+            self, tmp_path, monkeypatch, case, prefix):
+        # no INI key sets a gap region, so the solver config is patched
+        region = GapRegion(np.zeros(8), 2.0 if case == "feasible" else 0.5)
+        if case in ("affine", "feasible"):
+            build_scfg = ExperimentConfig.build_solver_config
+            monkeypatch.setattr(
+                ExperimentConfig, "build_solver_config",
+                lambda cfg: dataclasses.replace(build_scfg(cfg),
+                                                gap_region=region))
+        if case in ("affine", "energy"):
+            real = problems.synthetic_build
 
-        monkeypatch.setattr(harness, "run", violate_in_rep_1)
-        report = run_experiment(_load(tmp_path))
-        assert report.failures == 1
-        assert report.errors == {
-            1: "PolicyViolation: lam_k leaves the step window"}
-        assert len(report.results) == 2
-        assert (tmp_path / "out" / "rep_0.csv").exists()
-        assert not (tmp_path / "out" / "rep_1.csv").exists()
+            @functools.wraps(real)
+            def build(**kwargs):
+                drop = ({"affine_matrix": None} if case == "affine"
+                        else {"solution": None})
+                return dataclasses.replace(real(**kwargs), **drop)
+
+            monkeypatch.setattr(problems, "synthetic_build", build)
+        text = {"energy": BASE_INI.replace(
+                    "max_iters = 40", "max_iters = 40\nrecord_energy = true"),
+                "policy": BAD_LAM_INI.replace("label = bad", "label = demo"),
+                "strict": BASE_INI.replace("alpha = 0.1",
+                                           "alpha = 0.1\nlam = 10"),
+                }.get(case, BASE_INI)
+        cfg = _load(tmp_path, text, strict=case == "strict")
+        with pytest.raises(ValueError) as direct:
+            solvers.run(cfg.build_problem(), cfg.method,
+                        cfg.build_solver_config(), np.random.default_rng(0))
+        assert str(direct.value) == prefix
+        assert isinstance(direct.value, PolicyViolation) == (
+            case in ("policy", "strict"))
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == f"demo: {prefix}"
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfidenceInterval:
@@ -706,6 +777,35 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: {bad}: {message}\n")
         assert not out.exists() and built == []
+
+    @pytest.mark.parametrize("case", ["cap-energy", "compare", "strict"])
+    def test_a_config_its_problem_rejects_exits_one_and_writes_nothing(
+            self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        if case == "cap-energy":
+            path = _write(tmp_path, BASE_INI.replace(
+                SYNTHETIC_PROBLEM, "kind = cap").replace(
+                "regime = strongly_monotone", "regime = custom\nlam = 0.1\n"
+                "rho = 1.0\nrecord_energy = true"))
+            argv = ["run", path]
+            message = ("demo: record_energy needs a problem with a known "
+                       "solution")
+        elif case == "compare":
+            # the good config comes first and still runs nothing
+            good = _write(tmp_path, BAD_LAM_INI.replace(
+                "lam = 100", "lam = 0.1").replace("label = bad",
+                                                  "label = good"),
+                name="good.ini")
+            argv = ["compare", good, _write(tmp_path, BAD_LAM_INI,
+                                            name="bad.ini")]
+            message = f"bad: {BAD_LAM_MESSAGE}"
+        else:
+            argv = ["run", os.path.join(BENCH_CONFIGS, "cournot_risfbf.ini"),
+                    "--strict"]
+            message = "risfbf: lam = 0.0025 exceeds lambda_strong = 0.00249994"
+        assert cli.main([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_missing_file_exit_three(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.ini")]) == 3

@@ -251,6 +251,20 @@ class TestRun:
                     np.random.default_rng(0))
         assert clean.diagnostics == ()
 
+    def test_check_gives_the_law_and_diagnostics_a_run_steps_by(self):
+        prob = _noisy_problem()
+        bad = self._policy(lam=10.0)
+        cfg = SolverConfig(policy=bad, max_iters=3)
+        law, diagnostics = solvers.check(prob, "risfbf", cfg)
+        out = run(prob, "risfbf", cfg, np.random.default_rng(0))
+        assert diagnostics == out.diagnostics
+        assert [law(k) for k in (1, 2, 3)] == [
+            policy_mod.schedule(bad, prob.lipschitz,
+                                prob.strong_monotonicity)(k)
+            for k in (1, 2, 3)]
+        assert solvers.check(prob, "sfbf", SolverConfig(
+            lam=0.1, max_iters=3)) == (None, ())
+
     def test_policy_hypotheses_are_checked_once_per_run(self, monkeypatch):
         calls = []
         real = policy_mod._require

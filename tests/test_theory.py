@@ -8,7 +8,7 @@ from moninc.policy import RegimePolicy, lipschitz_tilde, schedule
 from moninc.problems import synthetic_build
 from moninc.solvers import SolverConfig
 from moninc.theory import (contraction_q, geometric_constant,
-                           noise_envelope_B, oracle_cost, oracle_costs,
+                           noise_envelope_B, oracle_costs,
                            poly_rate_constant, tau_eps)
 from capture import run_with_points
 from reference_formulas import dominance_constant
@@ -130,21 +130,21 @@ class TestIterationComplexity:
 
 class TestOracleCost:
     def test_reference_values(self):
-        assert oracle_cost(BatchSchedule.constant(1), 100, 2) == 200
-        assert oracle_cost(BatchSchedule.geometric(0.5), 3, 2) == 28
-        assert oracle_cost(BatchSchedule.constant(2), 10, 1) == 20
+        assert oracle_costs(BatchSchedule.constant(1), (100,), 2)[0] == 200
+        assert oracle_costs(BatchSchedule.geometric(0.5), (3,), 2)[0] == 28
+        assert oracle_costs(BatchSchedule.constant(2), (10,), 1)[0] == 20
 
     def test_matches_direct_sum_for_polynomial_growth(self):
         sched = BatchSchedule.polynomial(1.01)
         want = 2 * sum(int(k ** 1.01) for k in range(1, 51))
-        assert oracle_cost(sched, 50, 2) == want
+        assert oracle_costs(sched, (50,), 2)[0] == want
 
     @pytest.mark.parametrize("p", [0.5, 0.97, 1 / 1.02])
     def test_geometric_cost_is_the_sum_of_the_batch_sizes(self, p):
         # past m_k = 2^53 batch_size takes the exact rational power
         sched = BatchSchedule.geometric(p)
         want = 2 * sum(batch_size(sched, k) for k in range(1, 1501))
-        assert oracle_cost(sched, 1500, 2) == want
+        assert oracle_costs(sched, (1500,), 2)[0] == want
 
     @pytest.mark.parametrize("sched", [
         BatchSchedule.geometric(0.97), BatchSchedule.polynomial(1.5),
@@ -157,15 +157,15 @@ class TestOracleCost:
         want = [2 * sum(batch_size(sched, k) for k in range(1, K + 1))
                 for K in Ks]
         assert oracle_costs(sched, Ks, 2) == want
-        assert [oracle_cost(sched, K, 2) for K in Ks] == want
+        assert [oracle_costs(sched, (K,), 2)[0] for K in Ks] == want
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             oracle_costs(BatchSchedule.constant(1), [5, 0], 2)
         with pytest.raises(ValueError):
-            oracle_cost(BatchSchedule.constant(1), 0, 2)
+            oracle_costs(BatchSchedule.constant(1), (0,), 2)
         with pytest.raises(ValueError):
-            oracle_cost(BatchSchedule.constant(1), 10, 3)
+            oracle_costs(BatchSchedule.constant(1), (10,), 3)
 
 
 class TestPolynomialConstant:

@@ -383,28 +383,20 @@ class TestRunExperiment:
             raise NumericFailure("oracle draw 0 is non-finite")
 
         monkeypatch.setattr(harness, "run", boom)
-        report = run_experiment(_load(tmp_path))
+        # a step above lambda_strong: the diagnostics come from the check,
+        # so they stay although no replication returns
+        text = BASE_INI.replace("alpha = 0.1", "alpha = 0.1\nlam = 10")
+        report = run_experiment(_load(tmp_path, text))
         assert report.failures == 3
         assert report.errors == {
             rep: "NumericFailure: oracle draw 0 is non-finite"
             for rep in range(3)}
         assert report.means == {}
+        assert report.diagnostics == (
+            "lam = 10 exceeds lambda_strong = 0.158114",)
         summary = _read_csv(tmp_path / "out" / "summary.csv")
         failed_row = next(r for r in summary if r[0] == "failed")
         assert failed_row[1] == "3"
-
-    def test_diagnostics_stay_when_every_replication_fails(
-            self, tmp_path, monkeypatch):
-        # they come from the check, not from a replication that returned
-        def boom(problem, method, cfg, rng=None):
-            raise NumericFailure("oracle draw 0 is non-finite")
-
-        monkeypatch.setattr(harness, "run", boom)
-        text = BASE_INI.replace("alpha = 0.1", "alpha = 0.1\nlam = 10")
-        report = run_experiment(_load(tmp_path, text))
-        assert report.failures == 3
-        assert report.diagnostics == (
-            "lam = 10 exceeds lambda_strong = 0.158114",)
 
     def test_a_broken_policy_hypothesis_runs_no_replication(
             self, tmp_path, capsys, monkeypatch):

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import theory
 from .core import NumericFailure
-from .harness import (_METRICS, ConfigError, compare, load_config,
-                      run_experiment)
+from .harness import (_METRICS, ConfigError, _checked, compare,
+                      load_config, run_experiment)
 from .oracle import empirical_variance
-from .policy import lipschitz_tilde, schedule
+from .policy import lipschitz_tilde
 from .solvers import _start
 
 
@@ -141,13 +141,13 @@ def _cmd_bounds(args) -> int:
     if cfg.method != "risfbf":
         raise ConfigError(f"bounds describes risfbf only, not {cfg.method}")
     problem = cfg.build_problem()
-    policy = cfg.build_policy()
     mu = problem.strong_monotonicity
     if mu <= 0:
         raise ConfigError("bounds needs a strongly monotone problem")
-    L = problem.lipschitz
+    scfg, law, _ = _checked(cfg, problem)  # the check run() makes
+    policy, L = scfg.policy, problem.lipschitz
     L_tilde = lipschitz_tilde(L)
-    alpha1, lam, _ = schedule(policy, L, mu)(1)
+    alpha1, lam, _ = law(1)
     q = theory.contraction_q(policy.a, policy.b, lam, mu,
                              policy.alpha, L_tilde)
     s = problem.oracle.variance_bound or 0.0

@@ -319,10 +319,10 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _checked(config: ExperimentConfig, problem):
-    """(SolverConfig, diagnostics) of config on problem, or a ConfigError."""
+    """(SolverConfig, law, diagnostics): solvers.check's, or a ConfigError."""
     scfg = config.build_solver_config()
     try:
-        return scfg, solvers.check(problem, config.method, scfg)[1]
+        return (scfg, *solvers.check(problem, config.method, scfg))
     except ValueError as exc:  # PolicyViolation included
         raise ConfigError(f"{config.label}: {exc}") from exc
 
@@ -336,7 +336,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     bounds of each metric column and the failure count.
     """
     problem = config.build_problem()
-    scfg, diagnostics = _checked(config, problem)
+    scfg, _, diagnostics = _checked(config, problem)
     method = config.method
     os.makedirs(config.out_dir, exist_ok=True)
 

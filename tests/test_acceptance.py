@@ -4,9 +4,12 @@ One test per numbered criterion (criterion 7 has one test per problem
 regime). Each test prints a single line with the measured quantity, the
 stated tolerance, and PASS/FAIL before asserting, so the log doubles as a
 scoreboard. Configurations, seeds, and tolerances are pinned; none of the
-expected numbers are derived from the code under test.
+expected numbers are derived from the code under test. Criteria 7 and 8 run
+the paper's experiments as `moninc compare` runs them, from the config files
+in experiments/.
 """
 
+import os
 import time
 from types import SimpleNamespace
 
@@ -15,14 +18,14 @@ import pytest
 
 from moninc.core import (BallSet, BoxResolvent, BoxSet, project_ball,
                          project_box)
+from moninc.harness import compare, load_config
 from moninc.merit import GapRegion, residual
 from moninc.oracle import BatchSchedule, minibatch_estimate
 from moninc.policy import RegimePolicy, schedule_at
 from moninc.problems import (_solve_affine_box, cap_apply_L,
                              cap_apply_L_adjoint, cap_build, cournot_build,
                              synthetic_build)
-from moninc.solvers import (SolverConfig, init_state, risfbf_step, run,
-                            sfbf_step)
+from moninc.solvers import SolverConfig, init_state, risfbf_step, run
 from moninc.theory import (contraction_q, geometric_constant,
                            noise_envelope_B, tau_eps)
 from capture import run_with_points
@@ -32,10 +35,25 @@ from reference_oracles import NoiseModel, build_oracle
 from reference_steps import risfbf_step_fixedpoint_form
 
 REPS = 20
+# the paper's two experiments, one INI file per (criterion, method)
+EXPERIMENTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                           "experiments")
 
 
 def _report(tag, ok, detail):
     print(f"[{tag}] {detail} -> {'PASS' if ok else 'FAIL'}")
+
+
+def _experiments(out_root, *stems):
+    """The RunReports that harness.compare gives for experiments/<stem>.ini,
+    each config writing to out_root/<stem>; a failed replication fails the
+    gate, as it would raise in a run of its own."""
+    reports = compare([load_config(os.path.join(EXPERIMENTS, f"{stem}.ini"),
+                                   {"out_dir": str(out_root / stem)})
+                       for stem in stems])
+    for report in reports:
+        assert not report.errors, report.errors
+    return reports
 
 
 def _mean_dist_sq(point_lists, solution):
@@ -289,45 +307,20 @@ def test_gap_oracle_complexity_is_inverse_epsilon_to_the_1_plus_a(c6_runs):
 # criterion 7: capacity game at a 20000-draw budget
 # ----------------------------------------------------------------------
 
-def _cournot_mean_residual(prob, method, cfg):
-    finals = []
-    for rep in range(REPS):
-        out = run(prob, method, cfg, np.random.default_rng([11, rep]))
-        finals.append(float(out.trajectory.residual[-1]))
-    return float(np.mean(finals))
-
-
-def _cournot_cfg(**kw):
-    # the residual column is taken at run()'s step 1/(4L)
-    base = dict(max_oracle_calls=20000, max_iters=10**9,
-                record_stride=10**9)
-    base.update(kw)
-    return SolverConfig(**base)
-
-
 @pytest.fixture(scope="module")
-def c7_sa():
+def c7_sa(tmp_path_factory):
     """(mean residual, seconds) of the 20 sa replications that criteria 7a
-    and 7b share: same problem, same config, seeds [11, rep]."""
+    and 7b share: experiments/c7_sa.ini."""
     t0 = time.perf_counter()
-    r_sa = _cournot_mean_residual(
-        cournot_build(100.0, seed=0), "sa",
-        _cournot_cfg(batches=BatchSchedule.constant(1)))
-    return r_sa, time.perf_counter() - t0
+    (sa,) = _experiments(tmp_path_factory.mktemp("c7"), "c7_sa")
+    return sa.means["residual"], time.perf_counter() - t0
 
 
-def test_criterion_07a_capacity_game_monotone(c7_sa):
+def test_criterion_07a_capacity_game_monotone(c7_sa, tmp_path):
     r_sa, sa_seconds = c7_sa
     t0 = time.perf_counter()
-    prob = cournot_build(100.0, seed=0)
-    lam = 1.0 / (4.0 * prob.lipschitz)
-    batches = BatchSchedule.polynomial(1.01)
-    pol = RegimePolicy(regime="monotone_gap", alpha=0.1, lam=lam,
-                       alpha_mode="increasing")
-    r_ri = _cournot_mean_residual(
-        prob, "risfbf", _cournot_cfg(policy=pol, batches=batches))
-    r_sf = _cournot_mean_residual(
-        prob, "sfbf", _cournot_cfg(lam=lam, batches=batches))
+    r_ri, r_sf = (report.means["residual"] for report in _experiments(
+        tmp_path, "c7a_risfbf", "c7a_sfbf"))
     # the shared sa runs count toward each criterion's time limit
     elapsed = time.perf_counter() - t0 + sa_seconds
     bound = 10.0 * 2.7e-4
@@ -340,17 +333,11 @@ def test_criterion_07a_capacity_game_monotone(c7_sa):
     assert elapsed < 180.0
 
 
-def test_criterion_07b_capacity_game_strongly_monotone(c7_sa):
+def test_criterion_07b_capacity_game_strongly_monotone(c7_sa, tmp_path):
     r_sa, sa_seconds = c7_sa
     t0 = time.perf_counter()
-    prob = cournot_build(100.0, seed=0)
-    lam = 1.0 / (4.0 * prob.lipschitz)
-    batches = BatchSchedule.geometric(1.0 / 1.01)
-    pol = RegimePolicy(regime="custom", alpha=0.1, lam=lam, rho=1.0)
-    r_ri = _cournot_mean_residual(
-        prob, "risfbf", _cournot_cfg(policy=pol, batches=batches))
-    r_sf = _cournot_mean_residual(
-        prob, "sfbf", _cournot_cfg(lam=lam, batches=batches))
+    r_ri, r_sf = (report.means["residual"] for report in _experiments(
+        tmp_path, "c7b_risfbf", "c7b_sfbf"))
     # the shared sa runs count toward each criterion's time limit
     elapsed = time.perf_counter() - t0 + sa_seconds
     bound = 10.0 * 3.7e-6
@@ -409,31 +396,21 @@ CAP_BUDGETS = (400, 800, 1200, 1600, 2000)
 CAP_REFERENCE = (5.4e-1, 8.1e-3, 6.0e-3, 5.2e-3, 4.6e-3)
 
 
-def _cap_mean_rel_errors(prob, method, cfg):
+def _mean_rel_errors(report):
+    """Mean rel_error over the replications at each of CAP_BUDGETS, read
+    from the rows k = budget + 1, since the summary keeps only the last."""
     sums = np.zeros(len(CAP_BUDGETS))
-    for rep in range(REPS):
-        out = run(prob, method, cfg, np.random.default_rng([23, rep]))
-        ks = list(out.trajectory.k)
+    for result in report.results:
+        ks = list(result.trajectory.k)
         for i, budget in enumerate(CAP_BUDGETS):
-            sums[i] += out.trajectory.rel_error[ks.index(budget + 1)]
-    return sums / REPS
+            sums[i] += result.trajectory.rel_error[ks.index(budget + 1)]
+    return sums / len(report.results)
 
 
-def test_criterion_08_group_lasso_table():
+def test_criterion_08_group_lasso_table(tmp_path):
     t0 = time.perf_counter()
-    prob = cap_build(seed=0)
-    lam = 1.0 / (4.0 * prob.lipschitz)
-    batches = BatchSchedule.scaled_polynomial(1.1, 20)
-    pol = RegimePolicy(regime="monotone_gap", alpha=0.85, lam=lam,
-                       alpha_mode="increasing")
-    shared = dict(max_iters=2000, record_stride=400, record_residual=False)
-    e_ri = _cap_mean_rel_errors(
-        prob, "risfbf",
-        SolverConfig(policy=pol, batches=batches, **shared))
-    e_sf = _cap_mean_rel_errors(
-        prob, "sfbf", SolverConfig(lam=lam, batches=batches, **shared))
-    e_se = _cap_mean_rel_errors(
-        prob, "seg", SolverConfig(lam=lam, batches=batches, **shared))
+    e_ri, e_sf, e_se = map(_mean_rel_errors, _experiments(
+        tmp_path, "c8_risfbf", "c8_sfbf", "c8_seg"))
     elapsed = time.perf_counter() - t0
 
     within = all(e_ri[i] <= 5.0 * CAP_REFERENCE[i]

@@ -66,6 +66,7 @@ BAD_LAM_INI = BASE_INI.replace("mu = 1.0", "mu = 0.0").replace(
 BAD_LAM_MESSAGE = "lam = 100 not in (0, 1/(2L)) = (0, 0.5)"
 BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "perfbench",
                              "configs")
+EXPERIMENTS = os.path.join(os.path.dirname(__file__), "..", "experiments")
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -125,17 +126,30 @@ class TestLoadConfig:
             cfg = _load(tmp_path, mutate(BASE_INI))
             cfg.build_batches()      # schedule errors surface on build
 
-    def test_benchmark_configs_pass_every_load_check(self, tmp_path):
-        # a rule that rejects a perfbench config fails here first; the
-        # configs share one problem, built once as compare builds it
-        paths = sorted(glob.glob(os.path.join(BENCH_CONFIGS, "*.ini")))
-        assert paths
-        cfgs = [load_config(path, {"out_dir": str(tmp_path / "out")})
-                for path in paths]
-        problem = cfgs[0].build_problem()
-        for cfg in cfgs:
+    def test_benchmark_configs_pass_every_load_check(self, tmp_path,
+                                                      monkeypatch):
+        # a rule that rejects a perfbench or experiments/ config fails here
+        # first; each is checked on its own problem, loaded as written
+        found = [sorted(glob.glob(os.path.abspath(os.path.join(d, "*.ini"))))
+                 for d in (BENCH_CONFIGS, EXPERIMENTS)]
+        assert all(found)
+        monkeypatch.chdir(tmp_path)  # where each out_dir would be made
+        for path in sum(found, []):
+            cfg = load_config(path)
+            problem = cfg.build_problem()
             solvers.check(problem, cfg.method, cfg.build_solver_config())
-        assert not (tmp_path / "out").exists()
+            if "lam" in cfg.solver:  # every file steps at 1/(4L)
+                assert cfg.solver["lam"] == 1.0 / (4.0 * problem.lipschitz)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bench, experiment", [
+        ("sa", "c7_sa"), ("sfbf", "c7a_sfbf"), ("risfbf", "c7b_risfbf")])
+    def test_benchmark_cournot_configs_state_criterion_7(self, bench,
+                                                         experiment):
+        # perfbench keeps its own copy of criterion 7; it must not drift
+        ours = load_config(os.path.join(BENCH_CONFIGS, f"cournot_{bench}.ini"))
+        theirs = load_config(os.path.join(EXPERIMENTS, f"{experiment}.ini"))
+        assert (ours.problem, ours.solver) == (theirs.problem, theirs.solver)
 
     def test_policy_keys_without_regime_are_named(self, tmp_path):
         text = BASE_INI.replace("method = risfbf", "method = sfbf") \
@@ -1010,6 +1024,21 @@ class TestCli:
             "regime = strongly_monotone", "regime = asymptotic"))
         assert cli.main(["bounds", path]) == 1
         assert "policy has no step size lam" in capsys.readouterr().err
+
+    def test_bounds_rejects_a_broken_hypothesis_as_run_does(self, tmp_path,
+                                                            capsys):
+        # both commands take the policy through the same check, so both
+        # name the config's label
+        path = _write(tmp_path, BASE_INI.replace(
+            "regime = strongly_monotone", "regime = asymptotic\nlam = 100"
+        ).replace("label = demo", "label = syn_bad"))
+        message = ("config error: syn_bad: lam = 100 not in (0, 1/(4L)) = "
+                   "(0, 0.176777)\n")
+        out = tmp_path / "out"
+        for argv in (["run", path, "--out-dir", str(out)], ["bounds", path]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == ("", message)
+        assert not out.exists()
 
     def test_bounds_requires_strong_monotonicity(self, tmp_path, capsys):
         path = _write(tmp_path, BASE_INI.replace("mu = 1.0", "mu = 0.0"))

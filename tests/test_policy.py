@@ -230,6 +230,9 @@ def test_validate_custom_checks_nearest_regime():
     pol = RegimePolicy(regime="custom", alpha=0.1, lam=0.6, rho=1.0)
     msgs = validate(pol, L=1.0, mu=1.0)
     assert any("lambda_strong" in m for m in msgs)
+    # rho < 1 holds it to the asymptotic window lam < 1/(4L)
+    pol = RegimePolicy(regime="custom", alpha=0.1, lam=1.0, rho=0.5)
+    assert validate(pol, 1.0) == ["lam = 1 not in (0, 1/(4L)) = (0, 0.25)"]
 
 
 @pytest.mark.parametrize("regime, L, mu, edge, enforced", [

@@ -489,6 +489,7 @@ class TestSynthetic:
 
 
 _UNBUILDABLE = {  # the parameter that each call gets out of range
+    "mu": lambda: synthetic_build(mu=-1.0),
     "dim": lambda: synthetic_build(dim=0),
     "skew_norm": lambda: synthetic_build(dim=1, skew_norm=0.5),
     "n_firms": lambda: cournot_build(100.0, n_firms=0),

@@ -622,6 +622,17 @@ class TestRun:
         assert out.trajectory.gap[-1] == dual_gap_affine(cournot, out.X_bar,
                                                          region)
 
+    def test_a_problem_without_a_feasible_set_takes_any_gap_region(self):
+        # cap's variable is free (feasible is None), so a ball region lies
+        # in it, and the last row's gap is that of X_bar
+        cap = cap_build(0)
+        assert cap.feasible is None
+        region = GapRegion(np.zeros(cap.affine_shift.size), 1.0)
+        cfg = SolverConfig(lam=0.2, max_iters=5, gap_region=region)
+        out = run(cap, "sfbf", cfg, np.random.default_rng(4))
+        assert out.trajectory.gap[-1] == dual_gap_affine(cap, out.X_bar,
+                                                         region)
+
     def test_energy_without_a_known_solution_is_an_error(self):
         # cap knows its regression weights but not its saddle point
         cap = cap_build(0)

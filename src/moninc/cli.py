@@ -21,8 +21,7 @@ import numpy as np
 
 from . import theory
 from .core import NumericFailure
-from .harness import (_METRICS, ConfigError, _checked, compare,
-                      load_config, run_experiment)
+from .harness import _METRICS, _checked, compare, load_config, run_experiment
 from .oracle import empirical_variance
 from .policy import lipschitz_tilde
 from .solvers import _start
@@ -139,11 +138,11 @@ def _cmd_compare(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed})
     if cfg.method != "risfbf":
-        raise ConfigError(f"bounds describes risfbf only, not {cfg.method}")
+        raise cfg.error(f"bounds describes risfbf only, not {cfg.method}")
     problem = cfg.build_problem()
     mu = problem.strong_monotonicity
     if mu <= 0:
-        raise ConfigError("bounds needs a strongly monotone problem")
+        raise cfg.error("bounds needs a strongly monotone problem")
     scfg, law, _ = _checked(cfg, problem)  # the check run() makes
     policy, L = scfg.policy, problem.lipschitz
     L_tilde = lipschitz_tilde(L)
@@ -187,7 +186,7 @@ def _cmd_variance(args) -> int:
     cfg = load_config(args.config, {"seed": args.seed})
     problem = cfg.build_problem()
     if problem.oracle.mean is None:
-        raise ConfigError("variance sweep needs an oracle with exact mean")
+        raise cfg.error("variance sweep needs an oracle with exact mean")
     rng = np.random.default_rng([cfg.seed, 0])
     _, x = _start(problem, rng)  # replication 0's X_1
     ms = (1, 4, 16, 64, 256)

@@ -13,7 +13,8 @@ the builder's ranges (checked without building), a lam, regime or
 record_energy that the method would not read, and a method the config
 cannot run or stop (SolverConfig and solvers.check_method) are hard errors
 at load, and what solvers.check rejects on the built problem is one before
-anything is written, so typos cannot silently change an experiment.
+anything is written, so typos cannot silently change an experiment. Load
+errors name the file and keys as written; later ones, the config's label.
 run_experiment runs the replications in order on the calling thread, each
 on a stream derived from (global seed, replication index), writes one
 trajectory CSV per replication plus a summary CSV, and returns an
@@ -86,8 +87,6 @@ _RUN_KEYS = {  # SolverConfig fields
     "residual_target": (float, "residual_target"),
     "record_energy": (bool, "record_energy"),
 }
-_FIELD_KEYS = {name: key for key, (_, name) in _RUN_KEYS.items()} | {
-    "record_stride": "[output] stride"}
 _SECTIONS = {
     "solver": {"method": (str, "method"), "batch_kind": (str, "kind"),
                **_POLICY_KEYS, **_BATCH_KEYS, **_RUN_KEYS},
@@ -147,6 +146,14 @@ class ExperimentConfig:
             raise ConfigError("confidence level must lie in (0,1)")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.seed < 0:  # default_rng takes no negative entropy
+            raise ConfigError("[meta] seed must be nonnegative")
+        if self.problem.get("seed", 0) < 0:
+            raise ConfigError("[problem] seed must be nonnegative")
+
+    def error(self, reason) -> ConfigError:
+        """A ConfigError about this loaded config, named by its label."""
+        return ConfigError(f"{self.label}: {reason}")
 
     def _builder_call(self):
         """(builder, its arguments with defaults applied) for the [problem]
@@ -195,12 +202,10 @@ class ExperimentConfig:
 
 def _coerce(section: str, key: str, type_, raw: str):
     if type_ is bool:
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
+        states = configparser.ConfigParser.BOOLEAN_STATES  # yes/no, on/off
+        if raw.strip().lower() not in states:
+            raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
+        return states[raw.strip().lower()]
     try:
         return type_(raw.strip())
     except ValueError:
@@ -214,18 +219,21 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     over file values; they come from CLI flags.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            return _parsed(parser, path, overrides)
+        except (configparser.Error, ValueError) as exc:  # ConfigError too
+            raise ConfigError(f"{path}: {exc}") from exc
 
+
+def _parsed(parser, path: str, overrides: dict | None) -> ExperimentConfig:
     extra = set(parser.sections()) - {"problem", *_SECTIONS}
     if extra:
-        raise ConfigError(f"{path}: unknown section(s) {sorted(extra)}")
+        raise ConfigError(f"unknown section(s) {sorted(extra)}")
     for required in ("problem", "solver"):
         if required not in parser:
-            raise ConfigError(f"{path}: missing [{required}] section")
+            raise ConfigError(f"missing [{required}] section")
 
     def read_section(name, table):
         if name not in parser:
@@ -233,48 +241,45 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         out = {}
         for key, raw in parser[name].items():
             if key not in table:
-                raise ConfigError(
-                    f"{path}: unknown key {key!r} in [{name}]")
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
             out[key] = _coerce(name, key, table[key][0], raw)
         return out
 
     kind = parser["problem"].get("kind")
     if kind not in _PROBLEMS:
-        raise ConfigError(
-            f"{path}: [problem] kind must be one of "
-            f"{sorted(_PROBLEMS)}, got {kind!r}")
+        raise ConfigError(f"[problem] kind must be one of "
+                          f"{sorted(_PROBLEMS)}, got {kind!r}")
     prob = read_section("problem", {"kind": (str, "kind"), **_PROBLEMS[kind]})
     solver, output, meta = (read_section(name, _SECTIONS[name])
                             for name in ("solver", "output", "meta"))
     if "method" not in solver:
-        raise ConfigError(f"{path}: [solver] needs a method")
+        raise ConfigError("[solver] needs a method")
     if "regime" not in solver:
         # lam alone is the step of the plain methods
         unread = [k for k in _POLICY_KEYS if k in solver and k != "lam"]
         if unread:
             raise ConfigError(
-                f"{path}: [solver] keys {unread} configure a regime policy "
+                f"[solver] keys {unread} configure a regime policy "
                 "but no regime is set")
 
     meta.setdefault("label", os.path.splitext(os.path.basename(path))[0])
     kwargs = dict(problem=prob, solver=solver, **output, **meta)
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    # these checks name parameters and fields; the message names the INI
+    # keys instead, outside quoted values
+    keys = {name: key for key, (_, name)
+            in (_PROBLEMS[kind] | _SECTIONS["solver"]).items()
+            if name != key} | {"record_stride": "[output] stride"}
     try:
         cfg = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         # the builder's own range check, without building the problem
         getattr(problems, f"_check_{kind}")(**cfg._builder_call()[1])
         solvers.check_method(cfg.method, cfg.build_solver_config())
-    except ValueError as exc:  # ConfigError, or a range check
-        # name the INI keys, not the builder's parameters or SolverConfig's
-        # fields
-        keys = _FIELD_KEYS | {name: key
-                              for key, (_, name) in _PROBLEMS[kind].items()}
-        msg = re.sub(r"\w+", lambda w: keys.get(w[0], w[0]), str(exc))
-        raise ConfigError(f"{path}: {msg}") from None
+    except (TypeError, ValueError) as exc:  # ConfigError, or a range check
+        raise ConfigError(re.sub(r"'[^']*'|\w+",
+                                 lambda w: keys.get(w[0], w[0]),
+                                 str(exc))) from exc
     return cfg
 
 
@@ -320,11 +325,11 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _checked(config: ExperimentConfig, problem):
     """(SolverConfig, law, diagnostics): solvers.check's, or a ConfigError."""
-    scfg = config.build_solver_config()
     try:
+        scfg = config.build_solver_config()
         return (scfg, *solvers.check(problem, config.method, scfg))
     except ValueError as exc:  # PolicyViolation included
-        raise ConfigError(f"{config.label}: {exc}") from exc
+        raise config.error(exc) from exc
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:

@@ -813,6 +813,69 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, edit, line", [
+        (["run"], ("max_iters = 40", "budget = 2e4"),
+         "exp.ini: [solver] budget: bad number '2e4'"),
+        (["run"], ("max_iters = 40", "max_iters = 40\nrecord_energy = maybe"),
+         "exp.ini: [solver] record_energy: not a boolean: 'maybe'"),
+        (["run"], ("replications = 3", "replications = 0"),
+         "exp.ini: replications must be at least 1"),
+        (["run", "--replications", "0"], None,
+         "exp.ini: replications must be at least 1"),
+        (["run"], ("stride = 5", "stride = 5\nconfidence = 1.5"),
+         "exp.ini: confidence level must lie in (0,1)"),
+        (["run"], ("label = demo", "label = demo\nworkers = 0"),
+         "exp.ini: workers must be at least 1"),
+        (["run"], ("stride = 5", "stride = 0"),
+         "exp.ini: [output] stride must be at least 1"),
+        (["run"], ("dim = 8", "dim = 0"), "exp.ini: dim must be at least 1"),
+        (["run"], ("batch_m = 2", "batch_m = 2\nwarp_speed = 9"),
+         "exp.ini: unknown key 'warp_speed' in [solver]"),
+        # a parse error names the key as written, even one that a check
+        # would rename
+        (["run"], ("batch_m = 2", "batch_m = 2\np = 0.5"),
+         "exp.ini: unknown key 'p' in [solver]"),
+        (["run"], ("batch_kind = constant\nbatch_m = 2",
+                   "batch_kind = geometric\nbatch_p = 1.5"),
+         "exp.ini: geometric schedule needs batch_p in (0,1)"),
+        (["run"], ("batch_m = 2", "batch_m = 0"),
+         "exp.ini: constant schedule needs batch_m >= 1"),
+        (["run"], ("batch_kind = constant\nbatch_m = 2",
+                   "batch_kind = polynomial\nbatch_theta = -1"),
+         "exp.ini: polynomial schedule needs batch_theta > 0"),
+        (["run"], ("batch_kind = constant\nbatch_m = 2",
+                   "batch_kind = scaled_polynomial\nbatch_theta = 1.1\n"
+                   "batch_scale = 0.5"),
+         "exp.ini: polynomial schedule needs batch_scale n >= 1"),
+        (["run"], ("seed = 9", "seed = -1"),
+         "exp.ini: [meta] seed must be nonnegative"),
+        (["run", "--seed", "-3"], None,
+         "exp.ini: [meta] seed must be nonnegative"),
+        (["run"], ("seed = 3", "seed = -2"),
+         "exp.ini: [problem] seed must be nonnegative"),
+        (["variance", "--seed", "-1"], None,
+         "exp.ini: [meta] seed must be nonnegative"),
+        (["bounds"], ("method = risfbf", "method = sfbf"),
+         "demo: bounds describes risfbf only, not sfbf"),
+        (["bounds"], ("mu = 1.0", "mu = 0.0"),
+         "demo: bounds needs a strongly monotone problem"),
+    ], ids=["bad-number", "bad-boolean", "replications", "replications-flag",
+            "confidence", "workers", "stride", "dim", "unknown-key",
+            "unknown-key-p", "batch_p", "batch_m", "batch_theta",
+            "batch_scale", "meta-seed", "meta-seed-flag", "problem-seed",
+            "variance-seed-flag", "bounds-method", "bounds-mu"])
+    def test_an_error_names_its_file_and_key_or_its_label(
+            self, tmp_path, capsys, monkeypatch, argv, edit, line):
+        # errors found while loading name the file and the key as written;
+        # errors about a loaded config name its label
+        text = BASE_INI if edit is None else BASE_INI.replace(*edit)
+        assert edit is None or text != BASE_INI
+        monkeypatch.chdir(tmp_path)  # BASE_INI writes to ./out
+        _write(tmp_path, text)
+        assert cli.main([argv[0], "exp.ini", *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"config error: {line}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_three(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.ini")]) == 3
         assert "i/o error" in capsys.readouterr().err
@@ -947,8 +1010,8 @@ class TestCli:
     def test_bounds_without_a_regime_exit_one(self, tmp_path, capsys):
         path = _write(tmp_path, REDUCTION_B)
         assert cli.main(["bounds", path]) == 1
-        assert ("config error: bounds describes risfbf only, not sfbf"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            "config error: exp: bounds describes risfbf only, not sfbf\n")
 
     @pytest.mark.parametrize("method", ["sfbf", "seg", "sa", "proxpoint"])
     def test_bounds_describes_risfbf_runs_only(self, tmp_path, capsys,
@@ -964,7 +1027,7 @@ class TestCli:
         assert cli.main(["bounds", _write(tmp_path, text)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("config error: bounds describes risfbf only, "
+        assert err == ("config error: demo: bounds describes risfbf only, "
                        f"not {method}\n")
 
     def test_bounds_on_the_game_reads_its_solution(self, tmp_path, capsys):
@@ -1092,8 +1155,9 @@ class TestCli:
                                           monkeypatch):
         self._patch_synthetic_oracle(monkeypatch, mean=None)
         assert cli.main(["variance", _write(tmp_path, BASE_INI)]) == 1
-        assert ("config error: variance sweep needs an oracle with exact "
-                "mean") in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: demo: variance sweep needs an oracle with exact "
+            "mean\n")
 
     def test_variance_with_a_non_finite_batch_exit_two(self, tmp_path,
                                                        capsys, monkeypatch):

@@ -4,10 +4,11 @@ The residual ||x - J_lam(x - lam V(x))|| vanishes exactly at solutions and
 is the default progress measure. For affine mean operators the restricted
 dual gap sup_{p in C} <V(p), x - p> over a GapRegion C, one ball or one
 box, is available as a certified merit via an inner concave maximization.
-The linear-rate proof energy H_k is exposed for diagnostics. Both take one
-point or a stack of K points (K, d), so a run pays the gap's per-call set-up
+The linear-rate proof energy H_k is exposed for diagnostics. All three take
+one point or a stack of K points (K, d), so a run pays their per-call cost
 once per block of recorded rows; each row of a stack gets bitwise the value
-it gets alone.
+it gets alone. The residual's stack needs the oracle's exact mean: an
+estimate draws its batches one point at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BallSet, BoxSet, UnsupportedOperation, project_ball,
-                   project_box, _rowdot)
+                   project_box, _matvec, _rowdot, _rownorm)
 from .oracle import minibatch_estimate
 
 __all__ = [
@@ -36,20 +37,23 @@ def residual(problem, x, lam: float, rng=None):
     """Fixed-point residual at step lam.
 
     Uses the exact mean operator when the problem's oracle has one;
-    otherwise a large mini-batch estimate (_EST_BATCH draws from rng).
+    otherwise a large mini-batch estimate (_EST_BATCH draws from rng) at
+    one point. x is one point (d,), whose residual is returned as a float,
+    or, with an exact mean, a stack (K, d), whose residuals are returned as
+    a (K,) array, each row bitwise its 1-D value.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = np.asarray(x, dtype=np.float64)
     if problem.oracle.mean is not None:
         v = np.asarray(problem.oracle.mean(x), dtype=np.float64)
+    elif rng is None or x.ndim != 1:
+        raise UnsupportedOperation(
+            "oracle has no mean: its estimate needs one point and an rng")
     else:
-        if rng is None:
-            raise UnsupportedOperation(
-                "oracle has no mean and no rng was supplied for estimation")
         v = minibatch_estimate(problem.oracle, x, _EST_BATCH, rng)
-    y = problem.resolvent.apply(x - lam * v, lam)
-    return float(np.linalg.norm(x - y))
+    r = _rownorm(x - problem.resolvent.apply(x - lam * v, lam))
+    return float(r) if x.ndim == 1 else r
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class GapRegion:
             return np.all((p >= C.lower - _CONTAINS_TOL)
                           & (p <= C.upper + _CONTAINS_TOL), axis=-1)
         diff = p - C.center
-        return np.sqrt(_rowdot(diff, diff)) <= C.radius + _CONTAINS_TOL
+        return _rownorm(diff) <= C.radius + _CONTAINS_TOL
 
     def lies_in(self, box):
         """Whether C lies in box (None is the whole space), up to
@@ -122,16 +126,11 @@ class GapRegion:
         C = self.C
         if isinstance(C, BoxSet):
             return np.where(g >= 0, C.upper, C.lower)
-        ng = np.sqrt(_rowdot(g, g))
+        ng = _rownorm(g)
         zero = ng == 0
         scale = np.divide(C.radius, ng, out=np.zeros_like(ng), where=~zero)
         return np.where(zero[..., None], C.center,
                         C.center + scale[..., None] * g)
-
-
-def _matvec(M, X):
-    """M @ x for each row x of X (K, d), each rounded as the 1-D product."""
-    return np.matmul(M, X[..., None])[..., 0]
 
 
 def dual_gap_affine(problem, x, region: GapRegion):

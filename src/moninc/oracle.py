@@ -32,7 +32,9 @@ class StochasticOracle:
     """Evaluation contract for a sampler of V: subclasses define batch().
 
     Attributes:
-        mean: callable x -> V(x) exactly, or None when unavailable.
+        mean: callable x -> V(x) exactly, or None when unavailable. It
+            takes one point (d,) or a stack (K, d), and each row of a
+            stack's value is bitwise that row's 1-D value.
         variance_bound: sigma with E||batch(x, 1) - V(x)||^2 <= sigma^2
             on the set the oracle's docstring names, or on every x if it
             names none; None when not declared.
@@ -137,7 +139,7 @@ def minibatch_estimate(oracle: StochasticOracle, x, m: int, rng):
         raise ValueError("batch size must be >= 1")
     est = oracle.batch(x, int(m), rng)
     est = np.asarray(est, dtype=np.float64)
-    if not np.all(np.isfinite(est)):
+    if not np.isfinite(est).all():
         raise NumericFailure("minibatch estimate is non-finite")
     return est
 

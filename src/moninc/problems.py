@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoxSet, BoxResolvent, ResolventMap, project_box
+from .core import (BoxSet, BoxResolvent, ResolventMap, project_box, _matvec,
+                   _rownorm)
 from .oracle import StochasticOracle
 
 __all__ = [
@@ -45,10 +46,11 @@ class ProblemInstance:
     float64 array (a fixed start draws nothing), whose length is the
     problem's dimension (no field repeats it); solution is a point with
     zero residual when one is known (the box problems); rel_error_fn maps an
-    iterate to a scalar relative error when a ground truth exists (x*, or the
-    regression weights for the group-lasso problem); the mean is x -> M x + c
-    with M = affine_matrix, c = affine_shift on feasible, or everywhere when
-    feasible is None, which enables the restricted dual gap.
+    iterate (d,) to a float relative error, or a stack (K, d) to the (K,)
+    errors, each bitwise its row's float, when a ground truth exists (x*,
+    or the regression weights for the group-lasso problem); the mean is
+    x -> M x + c with M = affine_matrix, c = affine_shift on feasible, or
+    everywhere when feasible is None, which enables the restricted dual gap.
     """
 
     oracle: StochasticOracle
@@ -107,12 +109,13 @@ def expected_min_uniform(c):
 def _cournot_deterministic(inst: CournotInstance, x):
     x = np.asarray(x, dtype=np.float64)
     marginal_cost = inst.b_hat * x + inst.a
-    price_term = inst.r * (np.sum(x) + x) - inst.d
+    price_term = inst.r * (x.sum(axis=-1, keepdims=True) + x) - inst.d
     return marginal_cost + price_term
 
 
 def cournot_mean(inst: CournotInstance, x):
-    """Exact mean operator (recourse expectation in closed form)."""
+    """Exact mean operator (recourse expectation in closed form), at one
+    point or row by row on a stack (K, n)."""
     c = np.asarray(x, dtype=np.float64) / inst.eps
     return _cournot_deterministic(inst, x) + expected_min_uniform(c)
 
@@ -214,31 +217,41 @@ class CapInstance:
 
 
 def cap_apply_L(inst: CapInstance, w):
-    """Stacked coupling: block g equals eta * w[group g]."""
+    """Stacked coupling: block g equals eta * w[group g]; row by row on a
+    stack (K, d)."""
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[0] != inst.d:
-        raise ValueError(f"dimension mismatch: {w.shape[0]} vs {inst.d}")
-    return inst.eta * w[inst.index]
+    if w.shape[-1] != inst.d:
+        raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {inst.d}")
+    return inst.eta * w.take(inst.index, axis=-1)
 
 
 def cap_apply_L_adjoint(inst: CapInstance, v):
-    """Adjoint of the stacking map: scatter-add eta * v blocks.
+    """Adjoint of the stacking map: scatter-add eta * v blocks; row by row
+    on a stack (K, dual_dim).
 
     bincount adds the weights in group order, as a loop over the groups
-    would, so the sums are the same to the last bit.
+    would, so the sums are the same to the last bit. A stack is one
+    bincount whose row r scatters into bins r*d .. r*d + d - 1, so each
+    row adds in its 1-D order; one row's offsets are zero.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != inst.dual_dim:
-        raise ValueError(f"dimension mismatch: {v.shape[0]} vs {inst.dual_dim}")
-    return np.bincount(inst.index, weights=inst.eta * v, minlength=inst.d)
+    if v.shape[-1] != inst.dual_dim:
+        raise ValueError(
+            f"dimension mismatch: {v.shape[-1]} vs {inst.dual_dim}")
+    rows = v.size // inst.dual_dim
+    index = inst.index if rows == 1 else (
+        inst.index + np.arange(0, rows * inst.d, inst.d)[:, None]).ravel()
+    return np.bincount(index, weights=inst.eta * v.ravel(),
+                       minlength=rows * inst.d).reshape(*v.shape[:-1], inst.d)
 
 
 def cap_mean(inst: CapInstance, z):
-    """Mean operator: the Gaussian design gives E[aa^T] = I, E[ab] = w_true."""
+    """Mean operator: the Gaussian design gives E[aa^T] = I, E[ab] = w_true;
+    row by row on a stack (K, d + dual_dim)."""
     z = np.asarray(z, dtype=np.float64)
-    w, v = z[:inst.d], z[inst.d:]
+    w, v = z[..., :inst.d], z[..., inst.d:]
     gw = w - inst.w_true + cap_apply_L_adjoint(inst, v)
-    return np.concatenate([gw, -cap_apply_L(inst, w)])
+    return np.concatenate([gw, -cap_apply_L(inst, w)], axis=-1)
 
 
 class _CapOracle(StochasticOracle):
@@ -291,10 +304,15 @@ class _CapOracle(StochasticOracle):
 
 
 class _CapResolvent(ResolventMap):
-    """Projection onto the primal D-ball times the groups' dual unit balls.
+    """Projection onto the primal D-ball times the groups' dual unit balls,
+    at one point or row by row on a stack (K, dim).
 
     The groups have equal size, so the dual blocks project as the rows of
-    one (n_groups, group_size) array.
+    one (..., n_groups, group_size) array. Each block is scaled by
+    radius / max(norm, radius): one inside its ball by radius / radius = 1,
+    which leaves it bitwise as it is, one outside as its radial projection.
+    The dual norms are one einsum, whose stacked form rounds as the
+    unstacked one.
     """
 
     def __init__(self, inst: CapInstance):
@@ -305,26 +323,26 @@ class _CapResolvent(ResolventMap):
 
     def apply(self, z, lam):
         out = np.array(z, dtype=np.float64)
-        if out.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {out.shape[0]} vs {self.dim}")
-        w = out[:self.d]
-        norm_w = math.sqrt(w @ w)
-        if norm_w > self.D:
-            w *= self.D / norm_w
-        v = out[self.d:].reshape(self.dual_shape)
-        norms = np.sqrt(np.einsum("ij,ij->i", v, v))
-        outside = norms > 1.0
-        v[outside] *= (1.0 / norms[outside])[:, None]
+        if out.shape[-1] != self.dim:
+            raise ValueError(
+                f"dimension mismatch: {out.shape[-1]} vs {self.dim}")
+        w = out[..., :self.d]
+        w *= (self.D / np.maximum(_rownorm(w), self.D))[..., None]
+        v = out[..., self.d:].reshape(*out.shape[:-1], *self.dual_shape)
+        v *= (1.0 / np.maximum(np.sqrt(np.einsum("...ij,...ij->...i", v, v)),
+                               1.0))[..., None]
         return out
 
 
-def _check_cap(n_groups, group_size, overlap, **_):
-    """ValueError for group sizes cap_build cannot build."""
+def _check_cap(n_groups, group_size, overlap, ball_radius=None, **_):
+    """ValueError for group sizes or a primal ball cap_build cannot build."""
     for name, size in (("n_groups", n_groups), ("group_size", group_size)):
         if size < 1:
             raise ValueError(f"{name} must be at least 1")
     if overlap > group_size:
         raise ValueError("overlap must not exceed group_size")
+    if ball_radius is not None and not 0.0 < ball_radius < math.inf:
+        raise ValueError("ball_radius must be positive and finite")
 
 
 def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
@@ -336,7 +354,7 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
     shared coordinates between neighbors, ground-truth weights Gaussian on
     groups 4 and 5 (coordinates 24..41, 0-based) and zero elsewhere.
     """
-    _check_cap(n_groups, group_size, overlap)
+    _check_cap(n_groups, group_size, overlap, ball_radius)
     stride = group_size - overlap
     groups = tuple(np.arange(g * stride, g * stride + group_size)
                    for g in range(n_groups))
@@ -369,14 +387,13 @@ def cap_build(seed: int = 0, n_groups: int = 10, group_size: int = 10,
     # M a 2x2 block [[1, s], [-s, 0]] of norm (1 + sqrt(1 + 4 s^2))/2
     shared = int(np.bincount(inst.index).max())
     lipschitz = 0.5 * (1.0 + float(np.sqrt(1.0 + 4.0 * eta**2 * shared)))
-    wn = float(np.linalg.norm(w_true))
     return ProblemInstance(
         oracle=_CapOracle(inst),
         resolvent=_CapResolvent(inst),
         lipschitz=lipschitz,
         strong_monotonicity=0.0,
         feasible=None,
-        rel_error_fn=lambda z: float(np.linalg.norm(z[:d] - w_true) / wn),
+        rel_error_fn=_relative_error(w_true),
         affine_matrix=M,
         affine_shift=c,
         initial=lambda rng_: np.zeros(total),
@@ -403,7 +420,7 @@ class _AffineGaussianOracle(StochasticOracle):
     def __init__(self, M, c, sigma, bias):
         d = c.shape[0]
         self.dim = d
-        self.mean = lambda x: M @ np.asarray(x, dtype=np.float64) + c
+        self.mean = lambda x: _matvec(M, np.asarray(x, dtype=np.float64)) + c
         self.variance_bound = float(sigma)
         self.bias_bound = float(bias)
         self._coord_sigma = float(sigma) / np.sqrt(d)
@@ -412,10 +429,10 @@ class _AffineGaussianOracle(StochasticOracle):
     def batch(self, x, m, rng):
         v = self.mean(x)
         if self.variance_bound > 0.0:
-            v = v + (self._coord_sigma / np.sqrt(m)) * \
+            v = v + (self._coord_sigma / math.sqrt(m)) * \
                 rng.standard_normal(self.dim)
         if self.bias_bound > 0.0:
-            v = v + (self.bias_bound / np.sqrt(m)) * self._u
+            v = v + (self.bias_bound / math.sqrt(m)) * self._u
         return v
 
 
@@ -475,15 +492,30 @@ def _solve_affine_box(M, c, box):
     return x
 
 
+def _relative_error(ref):
+    """z -> ||z[:n] - ref|| / ||ref|| for the n = len(ref) leading
+    coordinates, or None when ||ref|| = 0: a float for one point, the (K,)
+    errors of a stack (K, d), each bitwise its row's float."""
+    n, scale = ref.shape[0], float(np.linalg.norm(ref))
+    if scale == 0.0:
+        return None
+
+    def rel_error(z):
+        z = np.asarray(z, dtype=np.float64)
+        err = _rownorm(z[..., :n] - ref) / scale
+        return float(err) if z.ndim == 1 else err
+
+    return rel_error
+
+
 def _affine_box_problem(M, c, box, **fields) -> ProblemInstance:
     """A problem with mean x -> M x + c on box, its projection, x* and
     rel_error_fn ||z - x*|| / ||x*|| (None when x* = 0); fields the rest."""
     xs = _solve_affine_box(M, c, box)
-    xn = float(np.linalg.norm(xs))
     return ProblemInstance(
         resolvent=BoxResolvent(box), feasible=box, solution=xs,
-        rel_error_fn=(lambda z: float(np.linalg.norm(z - xs) / xn))
-        if xn > 0 else None, affine_matrix=M, affine_shift=c, **fields)
+        rel_error_fn=_relative_error(xs),
+        affine_matrix=M, affine_shift=c, **fields)
 
 
 def _check_synthetic(dim, mu, skew_norm, **_):

@@ -208,7 +208,7 @@ class RunResult:
     diagnostics: tuple = ()  # validate()'s text; empty for a clean policy
 
 
-_BLOCK = 256  # recorded rows whose gap and H_k run() evaluates in one call
+_BLOCK = 256  # recorded rows whose merits run() evaluates in one call each
 
 
 def _quarter_inverse(L: float) -> float:
@@ -299,19 +299,22 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     taken at X_bar_k, the rho-weighted average of Y_1..Y_{k-1} (X_1 at
     k = 1), so the last row's gap is that of RunResult.X_bar.
     H_k is taken at the parameters of the step from X_k, and a run that
-    residual_target stops records the residual that met it. The residual
-    and rel_error are taken as a row is recorded; gap and H_k wait in a
-    block of _BLOCK rows, evaluated by one dual_gap_affine and one energy_H
-    call on the stack when it fills and when the run stops, so a row's
-    wall_time_s leaves out its own gap and H_k. If the oracle
-    lacks an exact mean, residuals are mini-batch estimates drawn from a
-    side stream whose seed is rng's first draw, before X_1 (_start); the
-    trajectory is flagged accordingly. numpy overflow and invalid errors
+    residual_target stops records the residual that met it. A row's
+    metrics wait in a block of _BLOCK rows: its X_k, X_bar_k and H_k
+    arguments are queued, and when the block fills and when the run stops
+    one call each of merit.residual, rel_error_fn, dual_gap_affine and
+    energy_H evaluates the block's stack, every row bitwise its 1-D value.
+    So a row's wall_time_s leaves out its own metrics. Two cases take the
+    residual as the row is recorded instead: a residual_target, since the
+    stop rule reads each residual as it is taken, and an oracle without an
+    exact mean, whose estimate draws from a side stream, seeded by rng's
+    first draw before X_1 (_start), in row order; that trajectory is
+    flagged accordingly. numpy overflow and invalid errors
     raise in the loop; they and a NumericFailure are raised again as
     NumericFailure naming the method, k, m_k, ||X_k|| and the policy
     diagnostics; k, m_k and ||X_k|| belong to one iterate, the one being
-    stepped from or recorded (for a block's gap or H_k, the row that
-    filled the block or stopped the run).
+    stepped from or recorded (for a block's metrics, the row that filled
+    the block or stopped the run, unless a later step fails first).
 
     Each pass of the loop takes X_k's batch size and parameters once,
     decides whether a rule stops the run there (residual_target, then
@@ -340,10 +343,21 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     res_lam = _quarter_inverse(problem.lipschitz)
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
     target = config.residual_target
-    rows, gaps, energies = [], [], []
-    bars, H_args = [], []  # the block's pending X_bar_k and H_k arguments
+    # the residual waits for its block unless the stop rule reads it as it
+    # is taken or its estimate draws from eval_rng in row order
+    by_block = (config.record_residual and target is None
+                and problem.oracle.mean is not None)
+    rows, residuals, errors, gaps, energies = [], [], [], [], []
+    # the block's pending X_k, X_bar_k and H_k arguments
+    points, bars, H_args = [], [], []
 
     def evaluate_block():
+        X_k = np.array(points)
+        points.clear()
+        if by_block:
+            residuals.extend(merit.residual(problem, X_k, res_lam))
+        if problem.rel_error_fn is not None:
+            errors.extend(problem.rel_error_fn(X_k))
         if bars:
             gaps.extend(merit.dual_gap_affine(problem, np.array(bars),
                                               region))
@@ -374,16 +388,18 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                 else:
                     stopped_by = None
                 if stopped_by or (k - 1) % config.record_stride == 0:
-                    if target is None and config.record_residual:
-                        r = merit.residual(problem, X, res_lam, rng=eval_rng)
-                    err = (problem.rel_error_fn(X)
-                           if problem.rel_error_fn is not None else np.nan)
+                    if not by_block:
+                        if target is None and config.record_residual:
+                            r = merit.residual(problem, X, res_lam,
+                                               rng=eval_rng)
+                        residuals.append(r)
+                    points.append(X)
                     if region is not None:
                         bars.append(state.x_bar())
                     if config.record_energy and k >= 2:
                         H_args.append((X, state.X_prev, alpha_k, rho_k,
                                        lam_k))
-                    rows.append((k, state.oracle_calls, r, err,
+                    rows.append((k, state.oracle_calls,
                                  time.perf_counter() - t0))
                     if stopped_by or len(rows) % _BLOCK == 0:
                         evaluate_block()
@@ -401,11 +417,12 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
         raise NumericFailure(f"{method} at k={k}, m_k={m_k}, "
                              f"||X||={norm:.6g}: {exc}{hint}") from exc
 
-    ks, calls, residuals, rel_errors, walls = map(np.array, zip(*rows))
+    ks, calls, walls = map(np.array, zip(*rows))
     unset = np.full(len(rows), np.nan)
     return RunResult(
         trajectory=Trajectory(
-            ks, calls, residuals, rel_errors,
+            ks, calls, np.array(residuals),
+            np.array(errors) if problem.rel_error_fn is not None else unset,
             np.array(gaps) if region is not None else unset,
             np.array([np.nan, *energies]) if config.record_energy else unset,
             walls, residual_estimated=problem.oracle.mean is None),

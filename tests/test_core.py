@@ -18,6 +18,21 @@ def test_project_box_fixes_interior_point():
     np.testing.assert_array_equal(project_box(x, box), x)
 
 
+@pytest.mark.parametrize("lower, upper", [
+    (0.0, 10.0), (-0.0, 0.0), (0.0, -0.0), (-1.0, 1.0), (0.0, 0.0),
+    (-np.inf, np.inf), (0.0, np.inf)])
+def test_project_box_is_clip_bitwise_on_special_values(lower, upper):
+    # signed zeros, nans and infinities at and beyond the bounds
+    x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0,
+                  10.0, 11.0, 5e-324, -5e-324, 0.5])
+    box = BoxSet(np.full(x.size, lower), np.full(x.size, upper))
+    want = np.clip(x, box.lower, box.upper)
+    assert project_box(x, box).tobytes() == want.tobytes()
+    stack = np.stack([x, x[::-1]])
+    assert project_box(stack, box).tobytes() == np.clip(
+        stack, box.lower, box.upper).tobytes()
+
+
 def test_project_box_dimension_mismatch():
     box = BoxSet(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):

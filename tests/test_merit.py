@@ -8,7 +8,7 @@ import pytest
 from moninc.core import (BallSet, BoxResolvent, BoxSet, UnsupportedOperation)
 from moninc.merit import GapRegion, dual_gap_affine, energy_H, residual
 from moninc.policy import RegimePolicy, schedule_at
-from moninc.problems import synthetic_build
+from moninc.problems import cap_build, cournot_build, synthetic_build
 from reference_formulas import energy_Q, relative_error
 
 
@@ -267,6 +267,56 @@ class TestStacks:
             assert len(set(calls)) > 1 and min(calls) > 1
         else:  # the closed form projects nothing
             assert set(calls) == {0}
+
+    @staticmethod
+    def _built_points(name, rng):
+        """A problem and twelve points that reach each branch of its maps."""
+        if name == "cournot":
+            # eps = 0.1: x <= -0.5, -0.5 < x < 0 and x >= 0 take the three
+            # branches of the recourse; 10 is the box's upper face
+            prob = cournot_build(100.0, seed=1)
+            P = rng.uniform(-1.0, 12.0, (12, 10))
+            P[:4] = rng.uniform(-0.8, 0.2, (4, 10))
+            P[4, :3] = (-0.0, 0.0, 10.0)
+            P[5] = rng.uniform(0.0, 10.0, 10)
+        elif name == "cap":
+            # rows 0-3 outside the primal D-ball; duals scaled so that some
+            # groups' blocks leave their unit balls
+            prob = cap_build(seed=2)
+            inst = prob.detail
+            P = 0.3 * rng.standard_normal((12, inst.d + inst.dual_dim))
+            P[:4, :inst.d] *= 2.0 * inst.D / np.linalg.norm(
+                P[:4, :inst.d], axis=1, keepdims=True)
+            P[:, inst.d:] *= rng.choice([0.1, 1.0], (12, inst.dual_dim))
+        else:
+            prob = synthetic_build(dim=10, sigma=0.8, seed=3)
+            P = rng.uniform(-2.0, 2.0, (12, 10))
+            P[:6] = rng.uniform(-0.9, 0.9, (6, 10))  # inside the box
+        return prob, P
+
+    @pytest.mark.parametrize("name", ["cournot", "cap", "synthetic"])
+    def test_maps_of_a_built_problem_act_row_by_row(self, name):
+        prob, P = self._built_points(name, np.random.default_rng(8))
+        if name == "cap":
+            inst = prob.detail
+            w_norms = np.linalg.norm(P[:, :inst.d], axis=1)
+            dual = np.linalg.norm(P[:, inst.d:].reshape(
+                12, *prob.resolvent.dual_shape), axis=2)
+            assert (w_norms > inst.D).sum() == 4
+            assert (dual > 1.0).any() and (dual <= 1.0).any()
+        maps = {"mean": prob.oracle.mean,
+                "resolvent": lambda x: prob.resolvent.apply(x, 0.3),
+                "residual": lambda x: residual(prob, x, 0.3),
+                "rel_error": prob.rel_error_fn}
+        for key, f in maps.items():
+            want = [f(p) for p in P]
+            if key in ("residual", "rel_error"):
+                assert all(type(v) is float for v in want)
+            assert _same_bits(f(P), want), key
+            assert _same_bits(f(P[:1]), want[:1]), key
+        # each map moved some rows and kept others: the stacks met both
+        J = maps["resolvent"](P)
+        assert (J != P).any(axis=1).any() and (J == P).all(axis=1).any()
 
     def test_energy_of_a_stack_is_the_energy_of_each_point(self):
         rng = np.random.default_rng(6)

@@ -496,6 +496,7 @@ _UNBUILDABLE = {  # the parameter that each call gets out of range
     "n_groups": lambda: cap_build(n_groups=0),
     "group_size": lambda: cap_build(group_size=0),
     "overlap": lambda: cap_build(group_size=3, overlap=4),
+    "ball_radius": lambda: cap_build(ball_radius=0.0),
 }
 
 

@@ -425,7 +425,7 @@ class TestRun:
     def test_diverged_iterate_norm_is_reported_without_overflow(
             self, monkeypatch):
         # a step far above lambda_strong diverges; at the failure X is
-        # finite (max |x_i| ~ 7.7e153) while x.x has overflowed
+        # finite (max |x_i| ~ 1e209) while x.x has overflowed
         prob = synthetic_build(dim=20, mu=1.0, skew_norm=1.0, sigma=0.5,
                                seed=5)
         pol = RegimePolicy(regime="strongly_monotone", alpha=0.1, lam=1e6)
@@ -437,25 +437,27 @@ class TestRun:
         with pytest.raises(NumericFailure) as info:
             run(prob, "risfbf", SolverConfig(policy=pol, max_iters=5000),
                 np.random.default_rng([0, 0]))
-        # the last step made X_565, and recording its row overflowed: k and
-        # ||X|| name that one iterate
+        # X_565's residual overflows; it waits in the block that the row of
+        # X_768 fills, whose evaluation raises: k and ||X|| name X_768
         X = states[-1].X
-        assert states[-1].k == 565
+        assert states[-1].k == 768
         top = np.max(np.abs(X))
         assert np.isfinite(top)
         want = top * np.linalg.norm(X / top)
-        assert f"risfbf at k=565, m_k=1, ||X||={want:.6g}: " in str(info.value)
+        assert f"risfbf at k=768, m_k=1, ||X||={want:.6g}: " in str(info.value)
         assert np.isfinite(want)
 
     @pytest.mark.parametrize("target", [None, 1e-12])
     def test_numeric_failure_names_the_batch_of_the_step_from_x_k(self,
                                                                   target):
-        # lam = 0.05 diverges on this game; with a target the overflow comes
-        # while X_238's residual is taken, without one in the step from it
+        # lam = 0.05 diverges on this game and X_238's residual overflows;
+        # with a target it is taken at once, without one it waits in the
+        # block that the row of X_256 fills, and that row is named
+        k = 238 if target else 256
         cfg = SolverConfig(lam=0.05, batches=BatchSchedule.polynomial(1.0),
                            max_iters=5000, residual_target=target)
         with pytest.raises(NumericFailure, match=re.escape(
-                "sfbf at k=238, m_k=238, ")):
+                f"sfbf at k={k}, m_k={k}, ")):
             run(cournot_build(100), "sfbf", cfg, np.random.default_rng(0))
 
     def test_iteration_budget_and_row_indexing(self):
@@ -792,9 +794,12 @@ class TestRun:
         counts = dict.fromkeys(("law", "residual", "batch_size", "rel_error"),
                                0)
 
-        def counting(name, fn):
+        def counting(name, fn, point=None):
+            # a map of points counts the rows of args[point] it evaluates,
+            # so a stack (K, d) counts K and one point counts 1
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                counts[name] += (1 if point is None
+                                 else len(np.atleast_2d(args[point])))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -802,12 +807,12 @@ class TestRun:
         monkeypatch.setattr(policy_mod, "schedule",
                             lambda *a: counting("law", schedule(*a)))
         monkeypatch.setattr(merit, "residual",
-                            counting("residual", merit.residual))
+                            counting("residual", merit.residual, 1))
         monkeypatch.setattr(solvers, "batch_size",
                             counting("batch_size", solvers.batch_size))
         prob = _noisy_problem(sigma=0.0)
         prob = dataclasses.replace(
-            prob, rel_error_fn=counting("rel_error", prob.rel_error_fn))
+            prob, rel_error_fn=counting("rel_error", prob.rel_error_fn, 0))
         cfg = SolverConfig(policy=self._policy(),
                            batches=BatchSchedule.polynomial(1.2),
                            record_stride=7, record_energy=True, **kw)

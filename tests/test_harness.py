@@ -795,6 +795,15 @@ class TestCli:
             f"config error: {path}: sa steps at 1/sqrt(k)")
         assert not out.exists()
 
+    def test_a_problem_its_builder_cannot_build_exits_one(self, tmp_path,
+                                                          capsys):
+        path = _write(tmp_path, BASE_INI.replace("dim = 8", "dim = 0"))
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {path}: dim must be at least 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("problem, message", [
         ("kind = synthetic\ndim = 1\nskew = 1.0",
          "skew > 0 needs dim >= 2: a 1x1 skew matrix is zero"),
@@ -1146,6 +1155,11 @@ class TestCli:
             assert cli.main(argv) == 1
             assert capsys.readouterr() == ("", message)
         assert not out.exists()
+
+    def test_bounds_requires_strong_monotonicity(self, tmp_path, capsys):
+        path = _write(tmp_path, BASE_INI.replace("mu = 1.0", "mu = 0.0"))
+        assert cli.main(["bounds", path]) == 1
+        assert "strongly monotone" in capsys.readouterr().err
 
     def test_variance_sweep_reports_scaling(self, tmp_path, capsys):
         path = _write(tmp_path, BASE_INI)

@@ -14,6 +14,7 @@ nothing is written), 2 numeric failure in every replication, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import os
 import sys
 
@@ -140,11 +141,19 @@ def _cmd_bounds(args) -> int:
     if cfg.method != "risfbf":
         raise cfg.error(f"bounds describes risfbf only, not {cfg.method}")
     problem = cfg.build_problem()
-    mu = problem.strong_monotonicity
-    if mu <= 0:
+    if problem.strong_monotonicity <= 0:
         raise cfg.error("bounds needs a strongly monotone problem")
     scfg, law, _ = _checked(cfg, problem)  # the check run() makes
-    policy, L = scfg.policy, problem.lipschitz
+    try:
+        _print_bounds(cfg, problem, scfg.policy, law)
+    except ValueError as exc:  # theory's range checks
+        raise cfg.error(exc) from exc
+    return 0
+
+
+def _print_bounds(cfg, problem, policy, law) -> None:
+    """Print risfbf's envelopes on problem, line by line as taken."""
+    mu, L = problem.strong_monotonicity, problem.lipschitz
     L_tilde = lipschitz_tilde(L)
     alpha1, lam, _ = law(1)
     q = theory.contraction_q(policy.a, policy.b, lam, mu,
@@ -169,7 +178,9 @@ def _cmd_bounds(args) -> int:
         taus = [theory.tau_eps(p, q, C, eps, p_hat) for eps in epss]
         for eps, tau, cost in zip(epss, taus,
                                   theory.oracle_costs(batches, taus, 2)):
-            print(f"  eps={eps:g}: tau={tau} oracle_cost={cost}")
+            # Decimal prints every digit, past str(int)'s 4300-digit limit
+            print(f"  eps={eps:g}: tau={tau} "
+                  f"oracle_cost={decimal.Decimal(cost)}")
     elif batches.kind == "polynomial":
         # m_k ~ k^theta / n, so the noise per step is about n B / k^theta
         c = theory.poly_rate_constant(q, batches.theta, dist1_sq, alpha1,
@@ -179,7 +190,6 @@ def _cmd_bounds(args) -> int:
     else:
         print("constant batches: no summable envelope; q governs the "
               "bias term only")
-    return 0
 
 
 def _cmd_variance(args) -> int:

@@ -7,8 +7,8 @@ box, is available as a certified merit via an inner concave maximization.
 The linear-rate proof energy H_k is exposed for diagnostics. All three take
 one point or a stack of K points (K, d), so a run pays their per-call cost
 once per block of recorded rows; each row of a stack gets bitwise the value
-it gets alone. The residual's stack needs the oracle's exact mean: an
-estimate draws its batches one point at a time.
+it gets alone. Without the oracle's exact mean the residual estimates
+it, drawing each row's batch in row order.
 """
 
 from __future__ import annotations
@@ -37,21 +37,23 @@ def residual(problem, x, lam: float, rng=None):
     """Fixed-point residual at step lam.
 
     Uses the exact mean operator when the problem's oracle has one;
-    otherwise a large mini-batch estimate (_EST_BATCH draws from rng) at
-    one point. x is one point (d,), whose residual is returned as a float,
-    or, with an exact mean, a stack (K, d), whose residuals are returned as
-    a (K,) array, each row bitwise its 1-D value.
+    otherwise a large mini-batch estimate, _EST_BATCH draws from rng per
+    point in row order. x is one point (d,), whose residual is returned as
+    a float, or a stack (K, d), whose residuals are returned as a (K,)
+    array, each row bitwise its 1-D value (an estimate's taken after those
+    of the rows before it).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = np.asarray(x, dtype=np.float64)
     if problem.oracle.mean is not None:
         v = np.asarray(problem.oracle.mean(x), dtype=np.float64)
-    elif rng is None or x.ndim != 1:
-        raise UnsupportedOperation(
-            "oracle has no mean: its estimate needs one point and an rng")
+    elif rng is None:
+        raise UnsupportedOperation("oracle has no mean: its estimate needs "
+                                   "an rng")
     else:
-        v = minibatch_estimate(problem.oracle, x, _EST_BATCH, rng)
+        v = np.reshape([minibatch_estimate(problem.oracle, p, _EST_BATCH, rng)
+                        for p in np.atleast_2d(x)], x.shape)
     r = _rownorm(x - problem.resolvent.apply(x - lam * v, lam))
     return float(r) if x.ndim == 1 else r
 

@@ -298,23 +298,22 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
     the final iterate; the iterates themselves are not kept. Its gap is
     taken at X_bar_k, the rho-weighted average of Y_1..Y_{k-1} (X_1 at
     k = 1), so the last row's gap is that of RunResult.X_bar.
-    H_k is taken at the parameters of the step from X_k, and a run that
-    residual_target stops records the residual that met it. A row's
-    metrics wait in a block of _BLOCK rows: its X_k, X_bar_k and H_k
-    arguments are queued, and when the block fills and when the run stops
-    one call each of merit.residual, rel_error_fn, dual_gap_affine and
-    energy_H evaluates the block's stack, every row bitwise its 1-D value.
-    So a row's wall_time_s leaves out its own metrics. Two cases take the
-    residual as the row is recorded instead: a residual_target, since the
-    stop rule reads each residual as it is taken, and an oracle without an
-    exact mean, whose estimate draws from a side stream, seeded by rng's
-    first draw before X_1 (_start), in row order; that trajectory is
-    flagged accordingly. numpy overflow and invalid errors
-    raise in the loop; they and a NumericFailure are raised again as
-    NumericFailure naming the method, k, m_k, ||X_k|| and the policy
-    diagnostics; k, m_k and ||X_k|| belong to one iterate, the one being
-    stepped from or recorded (for a block's metrics, the row that filled
-    the block or stopped the run, unless a later step fails first).
+    H_k is taken at the parameters of the step from X_k. A row's metrics
+    wait in a block of _BLOCK rows: when the block fills and when the run
+    stops, one call each of merit.residual, rel_error_fn, dual_gap_affine
+    and energy_H evaluates the block's stack, every row bitwise its 1-D
+    value, so a row's wall_time_s leaves out its own metrics. Only a
+    residual_target run takes the residual as the row is recorded: it
+    records the residual its stop rule read. Without an exact mean the
+    residual is an estimate drawn in row order from a side stream, seeded
+    by rng's first draw before X_1 (_start), and the trajectory is flagged.
+    numpy overflow and invalid errors raise in the loop; they and a
+    NumericFailure are raised again as NumericFailure naming the method,
+    the k, m_k and ||X_k|| of the earliest iterate whose step or recorded
+    metrics fail, and the policy diagnostics. When a block or a step fails,
+    the pending rows are evaluated again one at a time, in k order, from
+    the side stream's state before the block, and the first that fails is
+    named; so a failing run may step up to _BLOCK - 1 rows past it.
 
     Each pass of the loop takes X_k's batch size and parameters once,
     decides whether a rule stops the run there (residual_target, then
@@ -338,39 +337,37 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
 
     eval_rng, x0 = _start(problem, rng)
     state = init_state(x0, rng)
-    step = risfbf_step                  # read per run(), so patches apply
     batches, extragradient = spec.batches, spec.extragradient
     res_lam = _quarter_inverse(problem.lipschitz)
     L_tilde = policy_mod.lipschitz_tilde(problem.lipschitz)
     target = config.residual_target
-    # the residual waits for its block unless the stop rule reads it as it
-    # is taken or its estimate draws from eval_rng in row order
-    by_block = (config.record_residual and target is None
-                and problem.oracle.mean is not None)
+    # the residual waits for its block unless the stop rule reads it
+    by_block = config.record_residual and target is None
     rows, residuals, errors, gaps, energies = [], [], [], [], []
-    # the block's pending X_k, X_bar_k and H_k arguments
-    points, bars, H_args = [], [], []
+    # rows whose metrics wait for their block: (k, m_k, X_k, X_bar_k or
+    # None, H_k's arguments or None), and the side stream's state before it
+    pending, drawn_from = [], eval_rng.bit_generator.state
 
-    def evaluate_block():
-        X_k = np.array(points)
-        points.clear()
+    def evaluate(block):
+        _, _, X_k, bars, H_args = zip(*block)
+        X_k = np.array(X_k)
         if by_block:
-            residuals.extend(merit.residual(problem, X_k, res_lam))
+            residuals.extend(merit.residual(problem, X_k, res_lam,
+                                            rng=eval_rng))
         if problem.rel_error_fn is not None:
             errors.extend(problem.rel_error_fn(X_k))
-        if bars:
+        if region is not None:
             gaps.extend(merit.dual_gap_affine(problem, np.array(bars),
                                               region))
-            bars.clear()
+        H_args = [args for args in H_args if args is not None]
         if H_args:
             X_k, X_km1, alpha, rho, lam = map(np.array, zip(*H_args))
             energies.extend(merit.energy_H(X_k, X_km1, problem.solution,
                                            alpha, rho, lam, L_tilde, pol.a))
-            H_args.clear()
 
     t0 = time.perf_counter()
-    try:
-        with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise"):
+        try:
             while True:
                 k, X = state.k, state.X
                 m_k = batch_size(config.batches, k) if batches else 0
@@ -388,40 +385,48 @@ def run(problem, method: str, config: SolverConfig, rng=None) -> RunResult:
                 else:
                     stopped_by = None
                 if stopped_by or (k - 1) % config.record_stride == 0:
-                    if not by_block:
-                        if target is None and config.record_residual:
-                            r = merit.residual(problem, X, res_lam,
-                                               rng=eval_rng)
+                    if target is not None:
                         residuals.append(r)
-                    points.append(X)
-                    if region is not None:
-                        bars.append(state.x_bar())
-                    if config.record_energy and k >= 2:
-                        H_args.append((X, state.X_prev, alpha_k, rho_k,
-                                       lam_k))
+                    pending.append((
+                        k, m_k, X,
+                        state.x_bar() if region is not None else None,
+                        (X, state.X_prev, alpha_k, rho_k, lam_k)
+                        if config.record_energy and k >= 2 else None))
                     rows.append((k, state.oracle_calls,
                                  time.perf_counter() - t0))
-                    if stopped_by or len(rows) % _BLOCK == 0:
-                        evaluate_block()
+                    if stopped_by or len(pending) == _BLOCK:
+                        evaluate(pending)
+                        pending.clear()
+                        drawn_from = eval_rng.bit_generator.state
                 if stopped_by:
                     break
-                step(state, problem, *params, m_k, batches, extragradient)
-    except (NumericFailure, FloatingPointError) as exc:
-        # a failed run returns no diagnostics, so its message keeps them
-        hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"
-                if diagnostics else "")
-        # scaled by max |x_i|, as x.x overflows long before x does
-        top = float(np.max(np.abs(state.X)))
-        norm = (top * float(np.linalg.norm(state.X / top))
-                if 0.0 < top < np.inf else top)
-        raise NumericFailure(f"{method} at k={k}, m_k={m_k}, "
-                             f"||X||={norm:.6g}: {exc}{hint}") from exc
+                risfbf_step(state, problem, *params, m_k, batches,
+                            extragradient)
+        except (NumericFailure, FloatingPointError) as exc:
+            # X_k's step or block failed, unless a pending row fails alone
+            eval_rng.bit_generator.state = drawn_from
+            for row in pending:
+                try:
+                    evaluate([row])
+                except (NumericFailure, FloatingPointError) as row_exc:
+                    (k, m_k, X, *_), exc = row, row_exc
+                    break
+            # a failed run returns no diagnostics, so its message keeps them
+            hint = (f"; policy diagnostics: {'; '.join(diagnostics)}"
+                    if diagnostics else "")
+            # scaled by max |x_i|, as x.x overflows long before x does
+            top = float(np.max(np.abs(X)))
+            norm = (top * float(np.linalg.norm(X / top))
+                    if 0.0 < top < np.inf else top)
+            raise NumericFailure(f"{method} at k={k}, m_k={m_k}, "
+                                 f"||X||={norm:.6g}: {exc}{hint}") from exc
 
     ks, calls, walls = map(np.array, zip(*rows))
     unset = np.full(len(rows), np.nan)
     return RunResult(
         trajectory=Trajectory(
-            ks, calls, np.array(residuals),
+            ks, calls,
+            np.array(residuals) if config.record_residual else unset,
             np.array(errors) if problem.rel_error_fn is not None else unset,
             np.array(gaps) if region is not None else unset,
             np.array([np.nan, *energies]) if config.record_energy else unset,

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import decimal
 import functools
 import glob
 import importlib.util
@@ -917,12 +918,16 @@ class TestCli:
          "demo: bounds describes risfbf only, not sfbf"),
         (["bounds"], ("mu = 1.0", "mu = 0.0"),
          "demo: bounds needs a strongly monotone problem"),
+        # run() takes this custom step; the contraction bound does not
+        (["bounds"], ("regime = strongly_monotone\nalpha = 0.1",
+                      "regime = custom\nalpha = 0.1\nlam = 0.2\nrho = 1.0"),
+         "demo: lam=0.2 exceeds the admissible step 0.158114"),
     ], ids=["bad-number", "bad-boolean", "replications", "replications-flag",
             "confidence", "workers", "stride", "dim", "ball_radius",
             "unknown-key", "unknown-key-p", "batch_p", "batch_m",
             "batch_theta", "batch_scale", "meta-seed", "meta-seed-flag",
             "problem-seed", "variance-seed-flag", "bounds-method",
-            "bounds-no-regime", "bounds-mu"])
+            "bounds-no-regime", "bounds-mu", "bounds-theory"])
     def test_an_error_names_its_file_and_key_or_its_label(
             self, tmp_path, capsys, monkeypatch, argv, edit, line):
         # errors found while loading name the file and the key as written;
@@ -1044,6 +1049,35 @@ class TestCli:
         out = capsys.readouterr().out
         assert "contraction q=" in out
         assert "oracle_cost=" in out
+
+    def test_bounds_prints_every_digit_of_a_large_cost(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # m_k = 2^k on the game: the cost of tau ~ 17,000 steps has over
+        # 5,000 digits, past str(int)'s default limit of 4300
+        path = _write(tmp_path, BASE_INI.replace(
+            SYNTHETIC_PROBLEM, "kind = cournot\nl_v = 100").replace(
+            "batch_kind = constant\nbatch_m = 2",
+            "batch_kind = geometric\nbatch_p = 0.5").replace(
+            "alpha = 0.1", "alpha = 0.1\nlam = 0.001"))
+        real, seen = theory.oracle_costs, []
+
+        def spy(schedule, Ks, calls_per_iter):
+            seen.append((Ks, real(schedule, Ks, calls_per_iter)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(theory, "oracle_costs", spy)
+        assert cli.main(["bounds", path]) == 0
+        lines = [line.split(": ", 1) for line in
+                 capsys.readouterr().out.splitlines()
+                 if line.startswith("  eps=")]
+        [(taus, costs)] = seen
+        assert [eps for eps, _ in lines] == ["  eps=0.001", "  eps=0.0001",
+                                             "  eps=1e-05"]
+        for (_, line), tau, cost in zip(lines, taus, costs):
+            head, digits = line.split(" oracle_cost=")
+            assert head == f"tau={tau}"
+            assert digits.isdigit() and len(digits) > 5000
+            assert decimal.Decimal(digits) == cost
 
     @pytest.mark.parametrize("batches, line, problem", [
         ("batch_kind = polynomial\nbatch_theta = 1.5",

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
@@ -317,6 +318,24 @@ class TestStacks:
         # each map moved some rows and kept others: the stacks met both
         J = maps["resolvent"](P)
         assert (J != P).any(axis=1).any() and (J == P).all(axis=1).any()
+
+    @pytest.mark.parametrize("name", ["cournot", "cap", "synthetic"])
+    def test_an_estimated_residual_of_a_stack_is_each_estimate_in_turn(
+            self, name):
+        # without a mean each row draws its batch in row order, so a 1-D
+        # call per row on a copy of the rng replays the stack's draws
+        prob, P = self._built_points(name, np.random.default_rng(8))
+        blind = dataclasses.replace(prob, oracle=SimpleNamespace(
+            mean=None, batch=prob.oracle.batch))
+        rng = np.random.default_rng(9)
+        replay = copy.deepcopy(rng)
+        got = residual(blind, P, 0.3, rng=rng)
+        want = [residual(blind, p, 0.3, rng=replay) for p in P]
+        assert all(type(v) is float for v in want)
+        assert _same_bits(got, want)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        # the estimates are not the exact residuals
+        assert not _same_bits(got, residual(prob, P, 0.3))
 
     def test_energy_of_a_stack_is_the_energy_of_each_point(self):
         rng = np.random.default_rng(6)

@@ -425,26 +425,31 @@ class TestRun:
     def test_diverged_iterate_norm_is_reported_without_overflow(
             self, monkeypatch):
         # a step far above lambda_strong diverges; at the failure X is
-        # finite (max |x_i| ~ 1e209) while x.x has overflowed
+        # finite (max |x_i| ~ 1e154) while x.x has overflowed
         prob = synthetic_build(dim=20, mu=1.0, skew_norm=1.0, sigma=0.5,
                                seed=5)
         pol = RegimePolicy(regime="strongly_monotone", alpha=0.1, lam=1e6)
-        states = []
+        points = {}  # X_k by k, for each step taken from it
         step = solvers.risfbf_step
-        monkeypatch.setattr(solvers, "risfbf_step",
-                            lambda state, *a: states.append(state)
-                            or step(state, *a))
+
+        def recording(state, *args):
+            points[state.k] = state.X
+            return step(state, *args)
+
+        monkeypatch.setattr(solvers, "risfbf_step", recording)
         with pytest.raises(NumericFailure) as info:
             run(prob, "risfbf", SolverConfig(policy=pol, max_iters=5000),
                 np.random.default_rng([0, 0]))
         # X_565's residual overflows; it waits in the block that the row of
-        # X_768 fills, whose evaluation raises: k and ||X|| name X_768
-        X = states[-1].X
-        assert states[-1].k == 768
+        # X_768 fills, whose evaluation raises, and evaluated alone it
+        # raises again: k and ||X|| name X_565
+        assert max(points) == 767
+        X = points[565]
         top = np.max(np.abs(X))
         assert np.isfinite(top)
         want = top * np.linalg.norm(X / top)
-        assert f"risfbf at k=768, m_k=1, ||X||={want:.6g}: " in str(info.value)
+        assert f"{want:.5g}" == "2.0204e+154"
+        assert f"risfbf at k=565, m_k=1, ||X||={want:.6g}: " in str(info.value)
         assert np.isfinite(want)
 
     @pytest.mark.parametrize("target", [None, 1e-12])
@@ -452,13 +457,38 @@ class TestRun:
                                                                   target):
         # lam = 0.05 diverges on this game and X_238's residual overflows;
         # with a target it is taken at once, without one it waits in the
-        # block that the row of X_256 fills, and that row is named
-        k = 238 if target else 256
+        # block that the row of X_256 fills, and X_238 is named either way
         cfg = SolverConfig(lam=0.05, batches=BatchSchedule.polynomial(1.0),
                            max_iters=5000, residual_target=target)
         with pytest.raises(NumericFailure, match=re.escape(
-                f"sfbf at k={k}, m_k={k}, ")):
+                "sfbf at k=238, m_k=238, ")):
             run(cournot_build(100), "sfbf", cfg, np.random.default_rng(0))
+
+    def test_an_estimated_residual_that_fails_names_its_own_row(self):
+        class FailsOnRareEstimates(StochasticOracle):
+            """V = 0 in the steps' batches of one; the residual's estimates
+            read 1 and are non-finite on about 3% of their draws."""
+
+            def batch(self, x, m, rng):
+                if m == 1:
+                    return np.zeros(x.shape)
+                return np.full(x.shape, np.inf if rng.random() < 0.03
+                               else 1.0)
+
+        problem = SimpleNamespace(**{**vars(_zero_problem()),
+                                     "oracle": FailsOnRareEstimates()})
+        named = []
+        for target in (None, 1e-12):
+            cfg = SolverConfig(lam=0.1, max_iters=300, residual_target=target)
+            with pytest.raises(NumericFailure, match="non-finite") as info:
+                run(problem, "sfbf", cfg, np.random.default_rng(0))
+            named.append(int(re.match(r"sfbf at k=(\d+), ",
+                                      str(info.value)).group(1)))
+        # a target run takes each residual as its row is recorded; without
+        # one the first block fails at k = 256 and its rows are evaluated
+        # again one at a time on the draws the block took, so the same row
+        # is named
+        assert named[0] == named[1] < 256
 
     def test_iteration_budget_and_row_indexing(self):
         prob = _noisy_problem()
@@ -568,8 +598,9 @@ class TestRun:
 
     @pytest.mark.parametrize("column", ["gap", "H_k"])
     def test_an_overflow_in_a_block_is_a_numeric_failure(self, column):
-        # every row overflows, so the first block, at the row k = 256 that
-        # fills it, raises; the step itself stays finite
+        # every row's gap, and every H_k from k = 2 on, overflows, so the
+        # first block, at the row k = 256 that fills it, raises and its
+        # first row that overflows alone is named; the steps stay finite
         prob = synthetic_build(dim=6, mu=0.0, skew_norm=1.0, sigma=0.3,
                                seed=2)
         cfg = SolverConfig(policy=self._policy(
@@ -578,11 +609,13 @@ class TestRun:
             prob = dataclasses.replace(prob, affine_shift=np.full(6, 1e308))
             cfg = dataclasses.replace(cfg, gap_region=GapRegion(
                 np.zeros(6), 3.0, geometry=prob.feasible))
+            k = 1
         else:
             prob = dataclasses.replace(prob, solution=np.full(6, 1e200))
             cfg = dataclasses.replace(cfg, record_energy=True)
+            k = 2
         with pytest.raises(NumericFailure,
-                           match=r"^risfbf at k=256, m_k=1, .*overflow"):
+                           match=rf"^risfbf at k={k}, m_k=1, .*overflow"):
             run(prob, "risfbf", cfg, np.random.default_rng(0))
 
     def test_a_gap_region_without_an_affine_mean_is_an_error(self):
@@ -785,12 +818,17 @@ class TestRun:
         assert out.trajectory.residual[-1] == estimates[-1]
         assert len(estimates) == out.iterations  # one per k = 1..K
 
-    @pytest.mark.parametrize("stop, kw", [
-        ("max_iters", dict(max_iters=30)),
-        ("max_oracle_calls", dict(max_oracle_calls=700, max_iters=10**6)),
-        ("residual_target", dict(residual_target=1e-3, max_iters=10**4))])
+    @pytest.mark.parametrize("stop, kw, mean", [
+        ("max_iters", dict(max_iters=30), True),
+        ("max_oracle_calls", dict(max_oracle_calls=700, max_iters=10**6),
+         True),
+        ("residual_target", dict(residual_target=1e-3, max_iters=10**4),
+         True),
+        ("max_iters", dict(max_iters=30), False)],
+        ids=["max_iters-kw0", "max_oracle_calls-kw1", "residual_target-kw2",
+             "mean-less"])
     def test_each_iteration_evaluates_each_input_once(self, monkeypatch,
-                                                      stop, kw):
+                                                      stop, kw, mean):
         counts = dict.fromkeys(("law", "residual", "batch_size", "rel_error"),
                                0)
 
@@ -813,12 +851,16 @@ class TestRun:
         prob = _noisy_problem(sigma=0.0)
         prob = dataclasses.replace(
             prob, rel_error_fn=counting("rel_error", prob.rel_error_fn, 0))
+        if not mean:  # the residual is estimated, row by row of its block
+            prob = dataclasses.replace(prob, oracle=SimpleNamespace(
+                mean=None, batch=prob.oracle.batch))
         cfg = SolverConfig(policy=self._policy(),
                            batches=BatchSchedule.polynomial(1.2),
                            record_stride=7, record_energy=True, **kw)
         out = run(prob, "risfbf", cfg, np.random.default_rng(0))
         K, rows = out.iterations, len(out.trajectory.k)
         assert out.stopped_by == stop
+        assert out.trajectory.residual_estimated is not mean
         assert (K - 1) % 7 != 0                # the last row is off-stride
         assert counts == {
             "law": K,                          # once per k = 1..K
